@@ -101,35 +101,18 @@ impl Fup {
         increment: &dyn TransactionSource,
         minsup: MinSupport,
     ) -> Result<FupOutcome> {
-        self.update_with_index(db, old, increment, minsup, &mut IndexSlot::new())
-    }
-
-    /// [`update`](Self::update) with a persistent [`IndexSlot`]: when the
-    /// vertical backend engages, the slot's held index is reused (extended
-    /// with the increment's delta scan — no scan of `db`) if it covers
-    /// `db`, and the round's index is stashed back on success so the next
-    /// round can extend it again. See the [`crate::vindex`] module docs
-    /// for the reuse contract; [`Fup::update`] passes a throwaway slot and
-    /// reproduces the historical build-per-round behaviour exactly.
-    pub fn update_with_index(
-        &self,
-        db: &dyn TransactionSource,
-        old: &LargeItemsets,
-        increment: &dyn TransactionSource,
-        minsup: MinSupport,
-        slot: &mut IndexSlot,
-    ) -> Result<FupOutcome> {
-        let boundary = db.num_transactions();
-        let mut provider = SlotProvider::new(slot, db, increment, boundary);
+        let mut slot = IndexSlot::new();
+        let mut provider = SlotProvider::new(&mut slot, db, increment, db.num_transactions());
         self.update_with_provider(db, old, increment, minsup, &mut provider)
     }
 
-    /// [`update_with_index`](Self::update_with_index) generalised over the
-    /// source of vertical splits: the flat session passes a
-    /// [`SlotProvider`] (one index over `DB`), the sharded session a
-    /// [`ShardProvider`](crate::shard::ShardProvider) (one index per tid
-    /// shard, splits merged by summation). Every threshold decision is
-    /// made on the summed supports, so the result is provider-independent.
+    /// [`update`](Self::update) generalised over the source of vertical
+    /// splits: `update` counts through a throwaway [`SlotProvider`] (one
+    /// index over `DB`, built for the round), the session through a
+    /// [`ShardProvider`](crate::shard::ShardProvider) that keeps one
+    /// persistent index per tid shard — a single one by default — and
+    /// sums their splits. Every threshold decision is made on the summed
+    /// supports, so the result is provider-independent.
     pub(crate) fn update_with_provider(
         &self,
         db: &dyn TransactionSource,

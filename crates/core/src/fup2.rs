@@ -71,44 +71,19 @@ impl Fup2 {
         inserted: &dyn TransactionSource,
         minsup: MinSupport,
     ) -> Result<FupOutcome> {
-        self.update_with_index(
-            remainder,
-            old,
-            deleted,
-            inserted,
-            minsup,
-            &mut IndexSlot::new(),
-        )
-    }
-
-    /// [`update`](Self::update) with a persistent [`IndexSlot`]: an index
-    /// held from a previous round is reused (extended with `inserted`'s
-    /// delta scan) when it covers `remainder` — which is only the case for
-    /// insert-only updates, since deletions shrink and reorder the
-    /// remainder; any mismatch rebuilds. The round's index is stashed back
-    /// on success. [`Fup2::update`] passes a throwaway slot and reproduces
-    /// the historical build-per-round behaviour exactly.
-    pub fn update_with_index(
-        &self,
-        remainder: &dyn TransactionSource,
-        old: &LargeItemsets,
-        deleted: &dyn TransactionSource,
-        inserted: &dyn TransactionSource,
-        minsup: MinSupport,
-        slot: &mut IndexSlot,
-    ) -> Result<FupOutcome> {
-        let boundary = remainder.num_transactions();
-        let mut provider = SlotProvider::new(slot, remainder, inserted, boundary);
+        let mut slot = IndexSlot::new();
+        let mut provider =
+            SlotProvider::new(&mut slot, remainder, inserted, remainder.num_transactions());
         self.update_with_provider(remainder, old, deleted, inserted, minsup, &mut provider)
     }
 
-    /// [`update_with_index`](Self::update_with_index) generalised over the
-    /// source of vertical splits, exactly as
-    /// [`Fup::update_with_provider`](crate::fup::Fup): the flat session
-    /// passes a [`SlotProvider`] over `DB⁻`/`db⁺`, the sharded session a
+    /// [`update`](Self::update) generalised over the source of vertical
+    /// splits, exactly as [`Fup::update_with_provider`](crate::fup::Fup):
+    /// `update` counts through a throwaway [`SlotProvider`] over
+    /// `DB⁻`/`db⁺`, the session through a
     /// [`ShardProvider`](crate::shard::ShardProvider) whose per-shard
-    /// splits merge by summation. The delete side is never indexed — it
-    /// is counted whole either way.
+    /// persistent indexes (a single one by default) merge by summation.
+    /// The delete side is never indexed — it is counted whole either way.
     pub(crate) fn update_with_provider(
         &self,
         remainder: &dyn TransactionSource,

@@ -87,7 +87,7 @@ pub use service::{
     ServiceMetrics, ShardHealth,
 };
 pub use session::{
-    IndexStats, Maintainer, MaintainerBuilder, MaintenanceReport, RuleSnapshot, SessionStore,
-    StageHandle, Updater,
+    IndexStats, Maintainer, MaintainerBuilder, MaintenanceReport, RuleSnapshot, StageHandle,
+    Updater,
 };
 pub use vindex::IndexSlot;

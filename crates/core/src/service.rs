@@ -691,7 +691,7 @@ pub struct HealthReport {
     pub health: ServiceHealth,
     /// The staging/commit counters and gauges.
     pub metrics: ServiceMetrics,
-    /// Per-shard gauges, shard order (one entry for a flat session).
+    /// Per-shard gauges, shard order (one entry for a one-shard session).
     /// Appended after the `metrics` section in both renderings.
     pub shards: Vec<ShardHealth>,
 }

@@ -11,7 +11,7 @@
 //! **application** (one incremental round, `commit`) and **serving**
 //! (snapshot reads, untouched by either), and it keeps the expensive
 //! per-round state — the vertical tid-list index — alive across rounds:
-//! insert-only commits *extend* the held [`VerticalIndex`](fup_mining::VerticalIndex)
+//! insert-only commits *extend* the held [`VerticalIndex`]
 //! with the staged delta instead of rebuilding it on first use
 //! (see [`crate::vindex`]).
 //!
@@ -71,13 +71,12 @@ use fup_mining::apriori::AprioriConfig;
 use fup_mining::rules::generate_rules;
 use fup_mining::{
     Apriori, CountingBackend, EngineConfig, Itemset, LargeItemsets, MinConfidence, MinSupport,
-    MiningStats, Rule, RuleSet,
+    MiningStats, Rule, RuleSet, VerticalIndex,
 };
 use fup_tidb::wal::WalRecord;
 use fup_tidb::{
-    ChunkScratch, DurableStorage, ItemId, LiveTidView, ScanMetrics, SegmentId, SegmentedDb,
-    ShardSpec, ShardedDb, ShardedStaged, StagedUpdate, StagingArea, Tid, Transaction,
-    TransactionSource, TxChunk, UpdateBatch,
+    DurableStorage, ItemId, ShardSpec, ShardedDb, ShardedStaged, StagingArea, Tid, Transaction,
+    TransactionSource, UpdateBatch,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -450,7 +449,7 @@ pub struct MaintainerBuilder {
     updater: Updater,
     deletions: bool,
     durability: DurabilityPolicy,
-    shards: Option<ShardSpec>,
+    shards: ShardSpec,
 }
 
 impl MaintainerBuilder {
@@ -586,17 +585,17 @@ impl MaintainerBuilder {
     }
 
     /// Partitions the session's store into `n` tid-range shards (striped
-    /// with the default stripe width). Every FUP/FUP2 round then counts
-    /// shard-by-shard — per-shard persistent vertical indexes, per-shard
-    /// chunk cursors — and merges local supports by summation (count
-    /// distribution), producing **bit-identical** itemsets, rules and
-    /// support counts to the unsharded session at any shard count. A
-    /// deletion invalidates only the shards it touches.
+    /// with the default stripe width; the default is one shard, the whole
+    /// store). Every FUP/FUP2 round counts shard-by-shard — per-shard
+    /// persistent vertical indexes, per-shard chunk cursors — and merges
+    /// local supports by summation (count distribution), producing
+    /// **bit-identical** itemsets, rules and support counts at any shard
+    /// count. A deletion invalidates only the shards it touches.
     ///
     /// `shards(0)` is rejected at build time as
     /// [`BuildError::InvalidShardSpec`].
     pub fn shards(mut self, n: u32) -> Self {
-        self.shards = Some(ShardSpec::striped(n));
+        self.shards = ShardSpec::striped(n);
         self
     }
 
@@ -605,7 +604,7 @@ impl MaintainerBuilder {
     /// total (overlapping or gapping ranges, a bounded tail, zero shards)
     /// are rejected at build time as [`BuildError::InvalidShardSpec`].
     pub fn shard_spec(mut self, spec: ShardSpec) -> Self {
-        self.shards = Some(spec);
+        self.shards = spec;
         self
     }
 
@@ -649,9 +648,9 @@ impl MaintainerBuilder {
         if self.updater == Updater::Fup && self.deletions {
             return Err(BuildError::DeletionsWithoutFup2);
         }
-        if let Some(spec) = &self.shards {
-            spec.validate().map_err(BuildError::InvalidShardSpec)?;
-        }
+        self.shards
+            .validate()
+            .map_err(BuildError::InvalidShardSpec)?;
         Ok((minsup, minconf, config))
     }
 
@@ -753,26 +752,16 @@ impl MaintainerBuilder {
 
         // Rebuild the store and published state exactly as checkpointed.
         // The shard spec is pure configuration: the checkpoint format is
-        // shard-agnostic, so any valid spec (including none) can recover
-        // any image — every row is re-routed by tid.
-        let store = match &self.shards {
-            None => SessionStore::Flat(SegmentedDb::from_recovered(
-                image.live,
-                image.watermark,
-                image.tombstones,
-                image.next_segment,
-            )),
-            Some(spec) => SessionStore::Sharded(
-                ShardedDb::from_recovered(
-                    spec.clone(),
-                    image.live,
-                    image.watermark,
-                    image.tombstones,
-                    image.next_segment,
-                )
-                .map_err(|e| Error::Config(BuildError::InvalidShardSpec(e)))?,
-            ),
-        };
+        // shard-agnostic, so any valid spec can recover any image — every
+        // row is re-routed by tid.
+        let store = ShardedDb::from_recovered(
+            self.shards.clone(),
+            image.live,
+            image.watermark,
+            image.tombstones,
+            image.next_segment,
+        )
+        .map_err(|e| Error::Config(BuildError::InvalidShardSpec(e)))?;
         let rules = generate_rules(&image.large, minconf);
         let state = Arc::new(SnapshotState::new(
             image.version,
@@ -785,9 +774,9 @@ impl MaintainerBuilder {
         let mut slots = new_slots(store.num_shards());
         if let Some(idx) = image.index {
             // A checkpointed index is positional over the whole store and
-            // cannot be split, so only a flat session can restore it; a
-            // sharded recovery rebuilds per-shard indexes on first use.
-            if matches!(store, SessionStore::Flat(_)) {
+            // cannot be split, so only a one-shard session can restore it;
+            // a multi-shard recovery rebuilds per-shard indexes on first use.
+            if store.num_shards() == 1 {
                 slots[0].restore(idx);
             }
         }
@@ -914,248 +903,9 @@ fn validate_policy(
     Ok(())
 }
 
-/// One fresh [`IndexSlot`] per shard (one for a flat store).
+/// One fresh [`IndexSlot`] per shard.
 fn new_slots(n: usize) -> Vec<IndexSlot> {
-    (0..n.max(1)).map(|_| IndexSlot::new()).collect()
-}
-
-/// The session's transaction store: a flat [`SegmentedDb`] or a
-/// tid-range-sharded [`ShardedDb`] (see [`MaintainerBuilder::shards`]).
-///
-/// Both arms expose the same tid space, staging area, live-tid view and
-/// scan contract, so every maintenance path — staging, FUP/FUP2 rounds,
-/// re-mines, checkpoints, recovery — drives either store through this one
-/// type. The sharded arm additionally partitions its chunk plan per shard
-/// ([`TransactionSource::chunk_partitions`]) and carries per-shard insert
-/// slices through a round, which is what the shard-parallel counting and
-/// the count-distribution merge key off.
-#[derive(Debug)]
-pub enum SessionStore {
-    /// The unsharded store: one [`SegmentedDb`].
-    Flat(SegmentedDb),
-    /// The tid-range-partitioned store: N [`SegmentedDb`] shards behind
-    /// one tid space.
-    Sharded(ShardedDb),
-}
-
-impl SessionStore {
-    fn source(&self) -> &dyn TransactionSource {
-        match self {
-            SessionStore::Flat(db) => db,
-            SessionStore::Sharded(db) => db,
-        }
-    }
-
-    /// Number of shards (1 for a flat store).
-    pub fn num_shards(&self) -> usize {
-        match self {
-            SessionStore::Flat(_) => 1,
-            SessionStore::Sharded(db) => db.num_shards(),
-        }
-    }
-
-    /// The routing spec, when the store is sharded.
-    pub fn shard_spec(&self) -> Option<&ShardSpec> {
-        match self {
-            SessionStore::Flat(_) => None,
-            SessionStore::Sharded(db) => Some(db.spec()),
-        }
-    }
-
-    /// Live transaction count per shard — the balance view (a single
-    /// entry for a flat store).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        match self {
-            SessionStore::Flat(db) => vec![db.len()],
-            SessionStore::Sharded(db) => db.shard_lens(),
-        }
-    }
-
-    /// Number of live transactions.
-    pub fn len(&self) -> usize {
-        match self {
-            SessionStore::Flat(db) => db.len(),
-            SessionStore::Sharded(db) => db.len(),
-        }
-    }
-
-    /// `true` if no transaction is live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates `(tid, transaction)` pairs in scan order without charging
-    /// scan metrics.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (Tid, &Transaction)> + '_> {
-        match self {
-            SessionStore::Flat(db) => Box::new(db.iter()),
-            SessionStore::Sharded(db) => Box::new(db.iter()),
-        }
-    }
-
-    /// The live-tid view shared with delete validation and the durable
-    /// checkpoint format.
-    pub fn live_view(&self) -> LiveTidView {
-        match self {
-            SessionStore::Flat(db) => db.live_view(),
-            SessionStore::Sharded(db) => db.live_view(),
-        }
-    }
-
-    /// The scan accounting for this store.
-    pub fn metrics(&self) -> &ScanMetrics {
-        self.source().metrics()
-    }
-
-    pub(crate) fn staging(&self) -> Arc<StagingArea> {
-        match self {
-            SessionStore::Flat(db) => db.staging(),
-            SessionStore::Sharded(db) => db.staging(),
-        }
-    }
-
-    fn enqueue(&self, batch: UpdateBatch) -> fup_tidb::Result<()> {
-        match self {
-            SessionStore::Flat(db) => db.enqueue(batch),
-            SessionStore::Sharded(db) => db.enqueue(batch),
-        }
-    }
-
-    fn pending(&self) -> UpdateBatch {
-        match self {
-            SessionStore::Flat(db) => db.pending(),
-            SessionStore::Sharded(db) => db.pending(),
-        }
-    }
-
-    fn has_pending(&self) -> bool {
-        match self {
-            SessionStore::Flat(db) => db.has_pending(),
-            SessionStore::Sharded(db) => db.has_pending(),
-        }
-    }
-
-    fn take_pending_entries(&mut self) -> Vec<(u64, UpdateBatch)> {
-        match self {
-            SessionStore::Flat(db) => db.take_pending_entries(),
-            SessionStore::Sharded(db) => db.take_pending_entries(),
-        }
-    }
-
-    fn take_pending_entries_up_to(&mut self, max_ops: Option<u64>) -> Vec<(u64, UpdateBatch)> {
-        match self {
-            SessionStore::Flat(db) => db.take_pending_entries_up_to(max_ops),
-            SessionStore::Sharded(db) => db.take_pending_entries_up_to(max_ops),
-        }
-    }
-
-    fn discard_pending(&mut self) -> UpdateBatch {
-        match self {
-            SessionStore::Flat(db) => db.discard_pending(),
-            SessionStore::Sharded(db) => db.discard_pending(),
-        }
-    }
-
-    fn watermark(&self) -> u64 {
-        match self {
-            SessionStore::Flat(db) => db.watermark(),
-            SessionStore::Sharded(db) => db.watermark(),
-        }
-    }
-
-    fn next_segment(&self) -> u32 {
-        match self {
-            SessionStore::Flat(db) => db.next_segment(),
-            SessionStore::Sharded(db) => db.next_segment(),
-        }
-    }
-
-    fn is_tid_ordered(&self) -> bool {
-        match self {
-            SessionStore::Flat(db) => db.is_tid_ordered(),
-            SessionStore::Sharded(db) => db.is_tid_ordered(),
-        }
-    }
-
-    fn stage(&mut self, batch: UpdateBatch) -> fup_tidb::Result<StagedAny> {
-        match self {
-            SessionStore::Flat(db) => db.stage(batch).map(StagedAny::Flat),
-            SessionStore::Sharded(db) => db.stage(batch).map(StagedAny::Sharded),
-        }
-    }
-
-    fn commit(&mut self, staged: StagedAny) -> (SegmentId, Vec<Tid>) {
-        match (self, staged) {
-            (SessionStore::Flat(db), StagedAny::Flat(s)) => db.commit(s),
-            (SessionStore::Sharded(db), StagedAny::Sharded(s)) => db.commit(s),
-            _ => unreachable!("staged update committed against a different store kind"),
-        }
-    }
-
-    fn abort(&mut self, staged: StagedAny) {
-        match (self, staged) {
-            (SessionStore::Flat(db), StagedAny::Flat(s)) => db.abort(s),
-            (SessionStore::Sharded(db), StagedAny::Sharded(s)) => db.abort(s),
-            _ => unreachable!("staged update aborted against a different store kind"),
-        }
-    }
-}
-
-impl TransactionSource for SessionStore {
-    fn num_transactions(&self) -> u64 {
-        self.source().num_transactions()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&[ItemId])) {
-        self.source().for_each(f);
-    }
-
-    fn metrics(&self) -> &ScanMetrics {
-        self.source().metrics()
-    }
-
-    fn record_scan_start(&self) {
-        self.source().record_scan_start();
-    }
-
-    fn plan_chunks(&self, chunk_size: usize) -> u64 {
-        self.source().plan_chunks(chunk_size)
-    }
-
-    fn chunk_partitions(&self, chunk_size: usize) -> Vec<u64> {
-        self.source().chunk_partitions(chunk_size)
-    }
-
-    fn chunk<'s>(
-        &'s self,
-        chunk_size: usize,
-        index: u64,
-        scratch: &'s mut ChunkScratch,
-    ) -> TxChunk<'s> {
-        self.source().chunk(chunk_size, index, scratch)
-    }
-
-    fn chunk_tid_offset(&self, chunk_size: usize, index: u64) -> u64 {
-        self.source().chunk_tid_offset(chunk_size, index)
-    }
-}
-
-/// A staged (uncommitted) update of either store kind — the sharded arm
-/// additionally carries the per-shard insert/delete slices the
-/// shard-parallel round consumes.
-#[derive(Debug)]
-pub(crate) enum StagedAny {
-    Flat(StagedUpdate),
-    Sharded(ShardedStaged),
-}
-
-impl StagedAny {
-    fn num_deleted(&self) -> u64 {
-        match self {
-            StagedAny::Flat(s) => s.num_deleted(),
-            StagedAny::Sharded(s) => s.num_deleted(),
-        }
-    }
+    (0..n).map(|_| IndexSlot::new()).collect()
 }
 
 /// A rule-maintenance session: owns the transaction store, the current
@@ -1171,7 +921,7 @@ impl StagedAny {
 /// invalidate).
 #[derive(Debug)]
 pub struct Maintainer {
-    store: SessionStore,
+    store: ShardedDb,
     state: Arc<SnapshotState>,
     minsup: MinSupport,
     minconf: MinConfidence,
@@ -1179,11 +929,10 @@ pub struct Maintainer {
     policy: UpdatePolicy,
     updater: Updater,
     deletions: bool,
-    /// One persistent vertical-index slot per shard (a single slot for a
-    /// flat store).
+    /// One persistent vertical-index slot per shard.
     slots: Vec<IndexSlot>,
     /// Update ops (inserts + deletes) committed into each shard since
-    /// the session started (one counter for a flat store) — the
+    /// the session started — the
     /// [`ShardHealth`](crate::service::ShardHealth) `ops` gauge.
     shard_ops: Vec<u64>,
     durable: Option<Arc<DurableLog>>,
@@ -1202,15 +951,10 @@ impl Maintainer {
         minsup: MinSupport,
         minconf: MinConfidence,
         config: FupConfig,
-        shards: Option<ShardSpec>,
+        shards: ShardSpec,
     ) -> Self {
-        let store = match shards {
-            None => SessionStore::Flat(SegmentedDb::from_transactions(history)),
-            Some(spec) => SessionStore::Sharded(
-                ShardedDb::from_transactions(spec, history)
-                    .expect("shard spec validated by the builder"),
-            ),
-        };
+        let store = ShardedDb::from_transactions(shards, history)
+            .expect("shard spec validated by the builder");
         let (outcome, built) = Apriori::with_config(AprioriConfig {
             engine: config.engine.clone(),
             ..Default::default()
@@ -1219,42 +963,29 @@ impl Maintainer {
         let large = outcome.large;
         let rules = generate_rules(&large, minconf);
         let mut slots = new_slots(store.num_shards());
-        match &store {
-            SessionStore::Flat(_) => {
-                if let Some(idx) = built {
-                    // The bootstrap mine engaged vertical counting (pinned,
-                    // or Auto past its thresholds) and already paid for an
-                    // index covering the store, filtered to L₁ — adopt it so
-                    // even the *first* commit extends instead of building.
-                    slots[0].adopt(idx);
-                } else if config.engine.backend == CountingBackend::Vertical && !store.is_empty() {
-                    // A pinned-vertical session wants the index on every
-                    // commit even when the bootstrap found no pass-2
-                    // candidates to count through it; seed from a fresh scan.
-                    slots[0].seed(
-                        &store,
-                        large.level(1).map(|(x, _)| x.items()[0]),
-                        &config.engine,
-                    );
-                }
-            }
-            SessionStore::Sharded(db) => {
-                // The bootstrap index (if any) is positional over the whole
-                // store and cannot be split, so it is dropped. A
-                // pinned-vertical session seeds one index per shard instead,
-                // each over its shard's rows alone.
-                if config.engine.backend == CountingBackend::Vertical {
-                    for (s, slot) in slots.iter_mut().enumerate() {
-                        if !db.shard(s).is_empty() {
-                            slot.seed(
-                                db.shard(s),
-                                large.level(1).map(|(x, _)| x.items()[0]),
-                                &config.engine,
-                            );
-                        }
+        match built {
+            // The bootstrap mine engaged vertical counting (pinned, or Auto
+            // past its thresholds) and already paid for an index covering
+            // the store, filtered to L₁. It is positional over the whole
+            // store, so a one-shard session adopts it and even the *first*
+            // commit extends instead of building.
+            Some(idx) if store.num_shards() == 1 => slots[0].adopt(idx),
+            // A pinned-vertical session wants the index on every commit even
+            // when the bootstrap found no pass-2 candidates to count through
+            // it (or built an index a multi-shard store cannot split): seed
+            // one per non-empty shard from a fresh scan of its rows.
+            _ if config.engine.backend == CountingBackend::Vertical => {
+                for (s, slot) in slots.iter_mut().enumerate() {
+                    if !store.shard(s).is_empty() {
+                        slot.seed(
+                            store.shard(s),
+                            large.level(1).map(|(x, _)| x.items()[0]),
+                            &config.engine,
+                        );
                     }
                 }
             }
+            _ => {}
         }
         let state = Arc::new(SnapshotState::new(
             0,
@@ -1463,74 +1194,37 @@ impl Maintainer {
         if use_fup {
             debug_assert!(pure_insert, "deletions are rejected at stage time");
         }
-        let outcome = match (&self.store, &staged) {
-            (SessionStore::Flat(db), StagedAny::Flat(fs)) => {
-                let slot = &mut self.slots[0];
-                if use_fup {
-                    Fup::with_config(self.config.clone()).update_with_index(
-                        db,
-                        &self.state.large,
-                        fs.inserted(),
-                        self.minsup,
-                        slot,
-                    )
-                } else {
-                    Fup2::with_config(self.config.clone()).update_with_index(
-                        db,
-                        &self.state.large,
-                        fs.deleted(),
-                        fs.inserted(),
-                        self.minsup,
-                        slot,
-                    )
-                }
-            }
-            (SessionStore::Sharded(db), StagedAny::Sharded(ss)) => {
-                // Shard-parallel counting: one persistent index slot per
-                // shard, per-shard supports merged by summation inside the
-                // provider — bit-identical to the flat path because every
-                // threshold decision gates on the same global sums.
-                let mut provider = ShardProvider::new(db, ss, &mut self.slots);
-                if use_fup {
-                    Fup::with_config(self.config.clone()).update_with_provider(
-                        db,
-                        &self.state.large,
-                        ss.inserted(),
-                        self.minsup,
-                        &mut provider,
-                    )
-                } else {
-                    Fup2::with_config(self.config.clone()).update_with_provider(
-                        db,
-                        &self.state.large,
-                        ss.deleted(),
-                        ss.inserted(),
-                        self.minsup,
-                        &mut provider,
-                    )
-                }
-            }
-            _ => unreachable!("staged update does not match the store kind"),
+        // One persistent index slot per shard; per-shard supports merge by
+        // summation inside the provider, and every threshold decision gates
+        // on the same global sums at any shard count.
+        let mut provider = ShardProvider::new(&self.store, &staged, &mut self.slots);
+        let outcome = if use_fup {
+            Fup::with_config(self.config.clone()).update_with_provider(
+                &self.store,
+                &self.state.large,
+                staged.inserted(),
+                self.minsup,
+                &mut provider,
+            )
+        } else {
+            Fup2::with_config(self.config.clone()).update_with_provider(
+                &self.store,
+                &self.state.large,
+                staged.deleted(),
+                staged.inserted(),
+                self.minsup,
+                &mut provider,
+            )
         };
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {
-                // Abort re-appends the deleted rows at the end of their
-                // (shard's) live set, so the scan order of every store —
-                // or shard — that lost a row no longer matches its held
-                // index.
-                match &staged {
-                    StagedAny::Flat(fs) => {
-                        if fs.num_deleted() > 0 {
-                            self.slots[0].clear();
-                        }
-                    }
-                    StagedAny::Sharded(ss) => {
-                        for (s, slot) in self.slots.iter_mut().enumerate() {
-                            if !ss.shard_deleted(s).is_empty() {
-                                slot.clear();
-                            }
-                        }
+                // Abort re-appends each shard's deleted rows at the end of
+                // its live set, so the scan order of every shard that lost
+                // a row no longer matches its held index.
+                for (s, slot) in self.slots.iter_mut().enumerate() {
+                    if !staged.shard_deleted(s).is_empty() {
+                        slot.clear();
                     }
                 }
                 self.store.abort(staged);
@@ -1541,13 +1235,11 @@ impl Maintainer {
         Ok(self.finish_commit(staged, outcome.large, algorithm, outcome.stats))
     }
 
-    /// Applies a batch by committing it and re-mining from scratch — the
-    /// path [`UpdatePolicy`] routes to for very large batches.
     /// Two-phase-stages a batch drained from the staging area. The
     /// drained batch owns the staging claims for its deletes, so on a
     /// validation failure — which consumes the batch — those claims are
     /// released here (their tids become claimable again).
-    fn stage_drained(&mut self, batch: UpdateBatch) -> Result<StagedAny> {
+    fn stage_drained(&mut self, batch: UpdateBatch) -> Result<ShardedStaged> {
         let claimed: Vec<Tid> = batch.deletes.clone();
         match self.store.stage(batch) {
             Ok(staged) => Ok(staged),
@@ -1558,6 +1250,8 @@ impl Maintainer {
         }
     }
 
+    /// Applies a batch by committing it and re-mining from scratch — the
+    /// path [`UpdatePolicy`] routes to for very large batches.
     fn commit_by_remine(&mut self, batch: UpdateBatch) -> Result<MaintenanceReport> {
         let staged = self.stage_drained(batch)?;
         self.align_index(&staged);
@@ -1568,16 +1262,7 @@ impl Maintainer {
             ..Default::default()
         })
         .run_with_index(&self.store, self.minsup);
-        if let Some(idx) = built {
-            // The re-mine engaged vertical counting: its index covers
-            // exactly the just-committed store, so keep it for the next
-            // incremental round instead of whatever the slot held — on a
-            // flat store only, since the global positional index cannot
-            // be split across shards.
-            if matches!(self.store, SessionStore::Flat(_)) {
-                self.slots[0].adopt(idx);
-            }
-        }
+        self.adopt_remine_index(built);
         Ok(self.publish(
             outcome.large,
             "apriori-remine",
@@ -1586,10 +1271,20 @@ impl Maintainer {
         ))
     }
 
+    /// Keeps the index a re-mine built, in place of whatever the slot
+    /// held: it covers exactly the just-mined store, so the next
+    /// incremental round can extend it. The index is positional over the
+    /// whole store, so only a one-shard session can use it.
+    fn adopt_remine_index(&mut self, built: Option<VerticalIndex>) {
+        if let Some(idx) = built.filter(|_| self.store.num_shards() == 1) {
+            self.slots[0].adopt(idx);
+        }
+    }
+
     /// Commits `staged` and publishes the round's mined state.
     fn finish_commit(
         &mut self,
-        staged: StagedAny,
+        staged: ShardedStaged,
         new_large: LargeItemsets,
         algorithm: &'static str,
         stats: MiningStats,
@@ -1601,17 +1296,10 @@ impl Maintainer {
     }
 
     /// Charges a committed round's ops to the per-shard gauges.
-    fn note_shard_ops(&mut self, staged: &StagedAny) {
-        match staged {
-            StagedAny::Flat(fs) => {
-                self.shard_ops[0] += fs.inserted().num_transactions() + fs.num_deleted();
-            }
-            StagedAny::Sharded(ss) => {
-                for (s, ops) in self.shard_ops.iter_mut().enumerate() {
-                    *ops += ss.shard_inserted(s).num_transactions()
-                        + ss.shard_deleted(s).num_transactions();
-                }
-            }
+    fn note_shard_ops(&mut self, staged: &ShardedStaged) {
+        for (s, ops) in self.shard_ops.iter_mut().enumerate() {
+            *ops += staged.shard_inserted(s).num_transactions()
+                + staged.shard_deleted(s).num_transactions();
         }
     }
 
@@ -1619,23 +1307,18 @@ impl Maintainer {
     /// for [`HealthReport::shards`](crate::HealthReport::shards). An
     /// in-process session always reports `"up"`; backlog is the staged
     /// batches routed prospectively through the shard spec (everything
-    /// lands on shard 0 for a flat store).
+    /// lands on shard 0 of a one-shard store).
     pub fn shard_health(&self) -> Vec<ShardHealth> {
         let n = self.store.num_shards();
         let mut backlog = vec![0u64; n];
-        let pending = fup_tidb::StagingArea::merge_entries(self.store.staging().entries_snapshot());
-        match &self.store {
-            SessionStore::Flat(_) => backlog[0] = pending.num_ops(),
-            SessionStore::Sharded(db) => {
-                let spec = db.spec();
-                let watermark = self.store.watermark();
-                for i in 0..pending.inserts.len() as u64 {
-                    backlog[spec.shard_of(Tid(watermark + i))] += 1;
-                }
-                for &tid in &pending.deletes {
-                    backlog[spec.shard_of(tid)] += 1;
-                }
-            }
+        let pending = StagingArea::merge_entries(self.store.staging().entries_snapshot());
+        let spec = self.store.spec();
+        let watermark = self.store.watermark();
+        for i in 0..pending.inserts.len() as u64 {
+            backlog[spec.shard_of(Tid(watermark + i))] += 1;
+        }
+        for &tid in &pending.deletes {
+            backlog[spec.shard_of(tid)] += 1;
         }
         (0..n)
             .map(|s| ShardHealth {
@@ -1652,29 +1335,15 @@ impl Maintainer {
     /// never touched, an insert-only (shard-)round extends the held index
     /// with the (shard's) insert side — one cheap delta scan — and a
     /// (shard-)round with deletions, whose `swap_remove` staging
-    /// reordered that live set, drops it. The sharded arm decides per
-    /// shard, so a delete landing on one shard never invalidates the
-    /// others.
-    fn align_index(&mut self, staged: &StagedAny) {
-        match staged {
-            StagedAny::Flat(fs) => {
-                if !self.slots[0].take_touched() {
-                    if fs.num_deleted() == 0 {
-                        self.slots[0].extend_with(fs.inserted(), &self.config.engine);
-                    } else {
-                        self.slots[0].clear();
-                    }
-                }
-            }
-            StagedAny::Sharded(ss) => {
-                for (s, slot) in self.slots.iter_mut().enumerate() {
-                    if !slot.take_touched() {
-                        if ss.shard_deleted(s).is_empty() {
-                            slot.extend_with(ss.shard_inserted(s), &self.config.engine);
-                        } else {
-                            slot.clear();
-                        }
-                    }
+    /// reordered that live set, drops it. The decision is per shard, so a
+    /// delete landing on one shard never invalidates the others.
+    fn align_index(&mut self, staged: &ShardedStaged) {
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            if !slot.take_touched() {
+                if staged.shard_deleted(s).is_empty() {
+                    slot.extend_with(staged.shard_inserted(s), &self.config.engine);
+                } else {
+                    slot.clear();
                 }
             }
         }
@@ -1741,9 +1410,10 @@ impl Maintainer {
         &self.state.large
     }
 
-    /// The underlying store (read access) — flat or sharded; see
-    /// [`SessionStore`].
-    pub fn store(&self) -> &SessionStore {
+    /// The underlying store (read access): a tid-range-sharded
+    /// [`ShardedDb`] with one shard unless
+    /// [`MaintainerBuilder::shards`] asked for more.
+    pub fn store(&self) -> &ShardedDb {
         &self.store
     }
 
@@ -1815,12 +1485,7 @@ impl Maintainer {
             ..Default::default()
         })
         .run_with_index(&self.store, self.minsup);
-        if let Some(idx) = built {
-            // A global positional index cannot be split across shards.
-            if matches!(self.store, SessionStore::Flat(_)) {
-                self.slots[0].adopt(idx);
-            }
-        }
+        self.adopt_remine_index(built);
         let report = self.publish(outcome.large, "apriori-remine", outcome.stats, Vec::new());
         if let Some(log) = self.durable.clone() {
             let _ = log.log_boundary(&WalRecord::Commit {
@@ -1907,7 +1572,7 @@ impl Maintainer {
                 updater: self.updater,
                 deletions: self.deletions,
                 durability: *log.policy(),
-                shards: self.store.shard_spec().cloned(),
+                shards: self.store.spec().clone(),
             },
             storage: Arc::clone(log.storage()),
         })
@@ -1931,15 +1596,14 @@ impl Maintainer {
         live.sort_unstable_by_key(|&(tid, _)| tid);
         let view = self.store.live_view();
         let backlog = self.store.staging().entries_snapshot();
-        // Only a flat store's index is positional over the whole live set;
-        // sharded sessions checkpoint without one and rebuild per shard
-        // after recovery.
-        let index = match &self.store {
-            SessionStore::Flat(_) if self.store.is_tid_ordered() => self.slots[0]
-                .resident_index()
-                .filter(|idx| idx.num_transactions() == self.store.len() as u64),
-            _ => None,
-        };
+        // Only a one-shard store's index is positional over the whole live
+        // set; multi-shard sessions checkpoint without one and rebuild per
+        // shard after recovery.
+        let index = self.slots[0].resident_index().filter(|idx| {
+            self.store.num_shards() == 1
+                && self.store.is_tid_ordered()
+                && idx.num_transactions() == self.store.len() as u64
+        });
         durable::encode_checkpoint(
             seq,
             self.state.version,

@@ -11,15 +11,16 @@
 //! sup_delta(X) = Σᵢ sup_{deltaᵢ}(X)     (shard i's routed delta rows)
 //! ```
 //!
-//! [`ShardProvider`] implements the
-//! [`VerticalProvider`](crate::vindex::VerticalProvider) seam on exactly
-//! that identity: one persistent [`IndexSlot`] per shard, each acquired
-//! against its shard's base (`DBᵢ` for FUP, `DB⁻ᵢ` for FUP2 — after
-//! staging, the shard *is* its remainder) and extended with the shard's
-//! routed insert slice; `count_split` sums the per-shard splits. The
-//! round loops gate every threshold decision on the summed supports, so
-//! the result is bit-identical to the flat
-//! [`SlotProvider`](crate::vindex::SlotProvider) for any shard count.
+//! [`ShardProvider`] is the session's one
+//! [`VerticalProvider`](crate::vindex::VerticalProvider), built on exactly
+//! that identity: one [`SlotProvider`] per shard, each acquiring its
+//! shard's persistent [`IndexSlot`] against the shard's base (`DBᵢ` for
+//! FUP, `DB⁻ᵢ` for FUP2 — after staging, the shard *is* its remainder)
+//! extended with the shard's routed insert slice; `count_split` sums the
+//! per-shard splits. The round loops gate every threshold decision on the
+//! summed supports, so the result is bit-identical at any shard count. A
+//! session that never asks for shards has exactly one, the whole store,
+//! and the provider hands that part's splits through unchanged.
 //!
 //! Deletions invalidate only the shards they touch: each shard's slot is
 //! reacquired independently, and the acquire step's size check (shard
@@ -27,24 +28,15 @@
 //! set changed — an untouched shard reuses its index and scans only its
 //! delta slice.
 
-use crate::vindex::{IndexSlot, VerticalProvider};
-use fup_mining::{EngineConfig, ItemsetTable, LargeItemsets, VerticalIndex};
-use fup_tidb::{ShardedDb, ShardedStaged, TransactionDb, TransactionSource};
+use crate::vindex::{IndexSlot, SlotProvider, VerticalProvider};
+use fup_mining::{EngineConfig, ItemsetTable, LargeItemsets};
+use fup_tidb::{ShardedDb, ShardedStaged, TransactionSource};
 
-/// One shard's contribution to the round: its persistent slot, its base
-/// rows, its routed delta slice, and the boundary splitting the two.
-struct ShardPart<'a> {
-    slot: &'a mut IndexSlot,
-    base: &'a dyn TransactionSource,
-    delta: &'a TransactionDb,
-    boundary: u64,
-    index: Option<VerticalIndex>,
-}
-
-/// The sharded [`VerticalProvider`]: per-shard persistent indexes, local
-/// splits merged by summation (count distribution).
+/// The session's [`VerticalProvider`]: one [`SlotProvider`] per shard
+/// (per-shard persistent indexes), local splits merged by summation
+/// (count distribution).
 pub(crate) struct ShardProvider<'a> {
-    parts: Vec<ShardPart<'a>>,
+    parts: Vec<SlotProvider<'a>>,
 }
 
 impl<'a> ShardProvider<'a> {
@@ -67,13 +59,12 @@ impl<'a> ShardProvider<'a> {
             .enumerate()
             .map(|(s, slot)| {
                 let base = store.shard(s);
-                ShardPart {
+                SlotProvider::new(
                     slot,
-                    boundary: base.num_transactions(),
                     base,
-                    delta: staged.shard_inserted(s),
-                    index: None,
-                }
+                    staged.shard_inserted(s),
+                    base.num_transactions(),
+                )
             })
             .collect();
         ShardProvider { parts }
@@ -84,26 +75,21 @@ impl VerticalProvider for ShardProvider<'_> {
     fn engaged(&self) -> bool {
         // Shards engage together (one loop in `engage`), so the first
         // part speaks for all of them.
-        self.parts.first().is_some_and(|p| p.index.is_some())
+        self.parts[0].engaged()
     }
 
     fn engage(&mut self, old: &LargeItemsets, result: &LargeItemsets, engine: &EngineConfig) {
         for part in &mut self.parts {
-            if part.index.is_none() {
-                part.index = Some(
-                    part.slot
-                        .acquire(old, result, part.base, part.delta, engine),
-                );
-            }
+            part.engage(old, result, engine);
         }
     }
 
     fn count_split(&self, table: &ItemsetTable, engine: &EngineConfig) -> Vec<(u64, u64)> {
-        let mut totals: Vec<(u64, u64)> = vec![(0, 0); table.len()];
-        for part in &self.parts {
-            let idx = part.index.as_ref().expect("engage() before count_split()");
-            let local = idx.count_rows_split(table, part.boundary, engine);
-            for (acc, (b, d)) in totals.iter_mut().zip(local) {
+        // One shard's splits are the totals: no copy, no add loop.
+        let (first, rest) = self.parts.split_first().expect("a store has a shard");
+        let mut totals = first.count_split(table, engine);
+        for part in rest {
+            for (acc, (b, d)) in totals.iter_mut().zip(part.count_split(table, engine)) {
                 acc.0 += b;
                 acc.1 += d;
             }
@@ -113,9 +99,7 @@ impl VerticalProvider for ShardProvider<'_> {
 
     fn finish(&mut self) {
         for part in &mut self.parts {
-            if let Some(idx) = part.index.take() {
-                part.slot.stash(idx);
-            }
+            part.finish();
         }
     }
 }
@@ -123,7 +107,6 @@ impl VerticalProvider for ShardProvider<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vindex::SlotProvider;
     use fup_mining::{Apriori, Itemset, MinSupport};
     use fup_tidb::{SegmentedDb, ShardSpec, Transaction, UpdateBatch};
 

@@ -1,9 +1,9 @@
 //! Vertical-index plumbing for the maintenance layer: the shared bits of
 //! the FUP/FUP2 vertical counting paths (index construction and `W` table
 //! building), plus [`IndexSlot`] — the holder that lets a
-//! [`Maintainer`](crate::Maintainer) keep one [`VerticalIndex`] alive
-//! *across* maintenance rounds instead of rebuilding it on first use every
-//! round.
+//! [`Maintainer`](crate::Maintainer) keep one [`VerticalIndex`] per shard
+//! (one in all, unless the session asks for shards) alive *across*
+//! maintenance rounds instead of rebuilding it on first use every round.
 //!
 //! ## The persistent-index contract
 //!
@@ -196,12 +196,13 @@ impl IndexSlot {
 
 /// The vertical-counting seam of the FUP/FUP2 round loops: where the
 /// per-pass `(support in base, support in delta)` splits come from once
-/// the vertical backend engages. The flat session hands the loops a
-/// [`SlotProvider`] (one index over the whole store — the historical
-/// behaviour, bit for bit); the sharded session hands them a
-/// [`ShardProvider`](crate::shard::ShardProvider) that keeps one index
-/// per tid-range shard and merges local splits by summation (count
-/// distribution). The loops cannot tell the difference: supports are
+/// the vertical backend engages. Every in-process session hands the loops
+/// a [`ShardProvider`](crate::shard::ShardProvider): one [`SlotProvider`]
+/// per tid-range shard, local splits merged by summation (count
+/// distribution); a default session has one shard, the whole store. The
+/// standalone [`Fup::update`](crate::Fup::update) and
+/// [`Fup2::update`](crate::Fup2::update) hand them a lone, throwaway
+/// [`SlotProvider`]. The loops cannot tell the difference: supports are
 /// additive over disjoint tid ranges, so the summed splits equal the
 /// whole-store splits exactly.
 pub(crate) trait VerticalProvider {
@@ -257,10 +258,12 @@ pub(crate) trait VerticalProvider {
     fn finish(&mut self);
 }
 
-/// The flat (single-store) [`VerticalProvider`]: one [`IndexSlot`], one
-/// base source, one delta source, one boundary. Engaging acquires from
-/// the slot; finishing stashes back — exactly the pre-provider code
-/// path of `Fup::update_with_index`/`Fup2::update_with_index`.
+/// One index over one base and one delta: one [`IndexSlot`], one base
+/// source, one delta source, one boundary. Engaging acquires from the
+/// slot; finishing stashes back. A shard's part of a
+/// [`ShardProvider`](crate::shard::ShardProvider), and the whole of the
+/// standalone [`Fup::update`](crate::Fup::update) /
+/// [`Fup2::update`](crate::Fup2::update) round.
 pub(crate) struct SlotProvider<'a> {
     slot: &'a mut IndexSlot,
     base: &'a dyn TransactionSource,

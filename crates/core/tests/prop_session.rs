@@ -9,11 +9,18 @@
 //!   commits, rebuilding after deletions or dictionary growth) produces
 //!   supports bit-identical to a fresh index rebuild — an Apriori re-mine
 //!   on the vertical backend — after every round.
+//! * **An independent oracle agrees:** after bootstrap and every round,
+//!   each session's itemsets and supports equal a brute-force count of
+//!   every subset of every live transaction (`support/oracle.rs`).
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use fup_core::{FupConfig, Maintainer};
 use fup_mining::apriori::AprioriConfig;
 use fup_mining::{Apriori, CountingBackend, MinConfidence, MinSupport};
 use fup_tidb::{Tid, Transaction, UpdateBatch};
+use oracle::assert_matches_oracle;
 use proptest::prelude::*;
 
 /// A random transaction over a small item alphabet (1–6 items of 0..12).
@@ -89,6 +96,7 @@ proptest! {
             .fup_config(config)
             .build(history)
             .unwrap();
+        assert_matches_oracle(&session, "bootstrap");
 
         // Distinct delete targets, split between the two staged batches.
         let tids: Vec<Tid> = session.store().iter().map(|(tid, _)| tid).collect();
@@ -138,6 +146,8 @@ proptest! {
 
         reference.verify_consistency().unwrap();
         session.verify_consistency().unwrap();
+        assert_matches_oracle(&session, "staged commit");
+        assert_matches_oracle(&reference, "concatenated apply");
     }
 
     /// Satellite: persistent-index commits produce supports bit-identical
@@ -162,6 +172,7 @@ proptest! {
             .backend(CountingBackend::Vertical)
             .build(history)
             .unwrap();
+        assert_matches_oracle(&session, "bootstrap");
         let fresh_miner = Apriori::with_config(AprioriConfig {
             engine: fup_mining::EngineConfig::default()
                 .with_backend(CountingBackend::Vertical),
@@ -181,6 +192,7 @@ proptest! {
                 "persistent index diverged from fresh rebuild: {:?}",
                 session.large_itemsets().diff(&fresh)
             );
+            assert_matches_oracle(&session, "round");
         }
     }
 }

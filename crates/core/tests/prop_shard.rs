@@ -14,10 +14,19 @@
 //!   and a dedicated scripted case pins that pattern exactly — claim
 //!   validation and per-shard index alignment must stay correct when a
 //!   shard only deletes while others only insert.
+//! * **An independent oracle agrees:** the flat reference runs the same
+//!   session code as the sharded sessions it certifies (a flat session is
+//!   a one-shard session), so after bootstrap and every round each session
+//!   is also checked against a brute-force count of every subset of every
+//!   live transaction (`support/oracle.rs`).
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use fup_core::Maintainer;
 use fup_mining::{CountingBackend, MinConfidence, MinSupport};
 use fup_tidb::{ShardSpec, Tid, Transaction, UpdateBatch};
+use oracle::assert_matches_oracle;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [u32; 4] = [1, 2, 3, 8];
@@ -126,8 +135,10 @@ proptest! {
                     .unwrap()
             })
             .collect();
+        assert_matches_oracle(&flat, "bootstrap, flat");
         for m in &sharded {
             assert_bit_identical(&flat, m, "bootstrap");
+            assert_matches_oracle(m, "bootstrap");
         }
 
         for (round, (inserts, delete_seed)) in rounds.into_iter().enumerate() {
@@ -137,6 +148,7 @@ proptest! {
                 deletes: pick_deletes(&tids, &delete_seed),
             };
             let reference = flat.apply(batch.clone()).unwrap();
+            assert_matches_oracle(&flat, &format!("round {round}, flat"));
             for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
                 let report = m.apply(batch.clone()).unwrap();
                 let label = format!("round {round}, {shards} shard(s)");
@@ -148,6 +160,7 @@ proptest! {
                     report.num_transactions, reference.num_transactions, "{}", &label
                 );
                 assert_bit_identical(&flat, m, &label);
+                assert_matches_oracle(m, &label);
             }
         }
         for m in &sharded {
@@ -190,6 +203,8 @@ fn deletes_on_other_shards_than_inserts_stay_bit_identical() {
             flat.apply(batch.clone()).unwrap();
             sharded.apply(batch).unwrap();
             assert_bit_identical(&flat, &sharded, "round 1 (disjoint shards)");
+            assert_matches_oracle(&flat, "round 1, flat");
+            assert_matches_oracle(&sharded, "round 1");
 
             // Round 2: delete one of round 1's inserts (tid 8, shard 0)
             // while inserting onto shards 2 and 3 (tids 10, 11) — the
@@ -201,6 +216,8 @@ fn deletes_on_other_shards_than_inserts_stay_bit_identical() {
             flat.apply(batch.clone()).unwrap();
             sharded.apply(batch).unwrap();
             assert_bit_identical(&flat, &sharded, "round 2 (cross-shard delete)");
+            assert_matches_oracle(&flat, "round 2, flat");
+            assert_matches_oracle(&sharded, "round 2");
 
             sharded.verify_consistency().unwrap();
             assert_eq!(sharded.store().num_shards(), 4);

@@ -150,7 +150,9 @@ pub struct SegmentedDb {
     by_tid: HashMap<Tid, usize>,
     next_tid: u64,
     next_segment: u32,
-    metrics: ScanMetrics,
+    /// Shared with the other shards of a [`ShardedDb`](crate::ShardedDb),
+    /// so a scan of one shard is charged to the whole store.
+    metrics: Arc<ScanMetrics>,
     /// Accumulated-but-unapplied batches (see [`SegmentedDb::enqueue`]),
     /// shared so producer threads can stage through [`Self::staging`]
     /// handles while this store is borrowed elsewhere.
@@ -171,7 +173,7 @@ impl Default for SegmentedDb {
             by_tid: HashMap::new(),
             next_tid: 0,
             next_segment: 0,
-            metrics: ScanMetrics::new(),
+            metrics: Arc::default(),
             staging: Arc::default(),
             tid_ordered: true,
         }
@@ -182,6 +184,15 @@ impl SegmentedDb {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty store charging its scans to `metrics` — how a
+    /// [`ShardedDb`](crate::ShardedDb) makes its shards report to it.
+    pub(crate) fn with_metrics(metrics: Arc<ScanMetrics>) -> Self {
+        SegmentedDb {
+            metrics,
+            ..Self::default()
+        }
     }
 
     /// Restores a store from a durable checkpoint image: `live` pairs in
@@ -204,7 +215,7 @@ impl SegmentedDb {
             by_tid,
             next_tid: watermark,
             next_segment,
-            metrics: ScanMetrics::new(),
+            metrics: Arc::default(),
             staging: Arc::default(),
             tid_ordered: true,
         };

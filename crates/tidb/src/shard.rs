@@ -150,6 +150,14 @@ pub enum ShardSpec {
     Ranges(Vec<TidRange>),
 }
 
+/// One shard: the whole tid space as a single range — the store of a
+/// session that never asks for more.
+impl Default for ShardSpec {
+    fn default() -> Self {
+        ShardSpec::striped(1)
+    }
+}
+
 impl ShardSpec {
     /// A striped spec over `shards` shards with the
     /// [`DEFAULT_STRIPE`] width.
@@ -400,10 +408,11 @@ impl ShardedStaged {
 /// behind one tid space, one staging area, and one scan order.
 ///
 /// The public surface mirrors [`SegmentedDb`] (same two-phase
-/// stage/commit/abort, same staging handles, same live-tid view) so the
-/// maintenance session can drive either store through one code path;
-/// only [`stage`](Self::stage) returns the richer [`ShardedStaged`] that
-/// the shard-parallel mining rounds consume.
+/// stage/commit/abort, same staging handles, same live-tid view);
+/// [`stage`](Self::stage) returns the richer [`ShardedStaged`] that the
+/// shard-parallel mining rounds consume. It is the maintenance session's
+/// only store: with one shard (`ShardSpec::default()`) it holds the whole
+/// live set in one [`SegmentedDb`].
 #[derive(Debug)]
 pub struct ShardedDb {
     spec: ShardSpec,
@@ -414,7 +423,9 @@ pub struct ShardedDb {
     staging: Arc<StagingArea>,
     next_tid: u64,
     next_segment: u32,
-    metrics: ScanMetrics,
+    /// Shared by every shard, so scanning one shard alone (a per-shard
+    /// index build) is charged here too.
+    metrics: Arc<ScanMetrics>,
 }
 
 impl ShardedDb {
@@ -423,14 +434,17 @@ impl ShardedDb {
     /// gaps, starts past 0, or ends bounded).
     pub fn new(spec: ShardSpec) -> std::result::Result<Self, SpecError> {
         spec.validate()?;
-        let shards = (0..spec.num_shards()).map(|_| SegmentedDb::new()).collect();
+        let metrics = Arc::new(ScanMetrics::new());
+        let shards = (0..spec.num_shards())
+            .map(|_| SegmentedDb::with_metrics(Arc::clone(&metrics)))
+            .collect();
         Ok(ShardedDb {
             spec,
             shards,
             staging: Arc::default(),
             next_tid: 0,
             next_segment: 0,
-            metrics: ScanMetrics::new(),
+            metrics,
         })
     }
 
@@ -511,6 +525,12 @@ impl ShardedDb {
     /// scan).
     pub fn shard(&self, s: usize) -> &SegmentedDb {
         &self.shards[s]
+    }
+
+    /// The scan accounting for the whole store, every shard's scans
+    /// included.
+    pub fn metrics(&self) -> &ScanMetrics {
+        &self.metrics
     }
 
     /// Live transaction count per shard — the balance view.
@@ -763,10 +783,8 @@ impl TransactionSource for ShardedDb {
         for shard in &self.shards {
             let chunks = shard.plan_chunks(chunk_size);
             if index < chunks {
-                let chunk = shard.chunk(chunk_size, index, scratch);
-                self.metrics
-                    .record_transactions(chunk.len() as u64, chunk.total_items());
-                return chunk;
+                // The shard charges the shared metrics itself.
+                return shard.chunk(chunk_size, index, scratch);
             }
             index -= chunks;
         }
@@ -1035,6 +1053,17 @@ mod tests {
             v
         };
         assert_eq!(collect(&sharded), collect(&flat));
+    }
+
+    #[test]
+    fn shard_scans_charge_the_store_metrics() {
+        let db = ShardedDb::from_transactions(ShardSpec::striped_with(2, 2), txs(8)).unwrap();
+        db.shard(1).for_each(&mut |_| {});
+        let mut scratch = ChunkScratch::new();
+        let _ = db.chunk(3, 0, &mut scratch);
+        let m = db.metrics().snapshot();
+        // Shard 1 holds 4 rows; chunk 0 is 3 of shard 0's rows, charged once.
+        assert_eq!((m.full_scans, m.transactions_read), (1, 7));
     }
 
     #[test]

@@ -271,17 +271,18 @@
 //!
 //! ## Sharded serving
 //!
-//! A session can partition its live set into N tid-range shards
-//! ([`MaintainerBuilder::shards`], or [`ShardSpec`] for explicit
-//! routing). Support counts are additive over disjoint tid ranges, so
-//! each shard counts its own slice and the merged result is
-//! **bit-identical** to the flat session — same itemsets and supports,
-//! same rules, same reports — while each shard keeps its own persistent
-//! vertical index (a delete rebuilds only the shard it lands on) and
-//! scans in parallel as its own chunk partition. The routing spec is
-//! pure configuration: it is validated at build time and never changes
-//! a result, only where rows live. See `DESIGN_SHARDING.md` for the
-//! invariants.
+//! A session's store is always a tid-range-sharded [`ShardedDb`]
+//! ([`Maintainer::store`]): one shard, the whole store, unless the
+//! builder asks for N ([`MaintainerBuilder::shards`], or [`ShardSpec`]
+//! for explicit routing). Support counts are additive over disjoint tid
+//! ranges, so each shard counts its own slice and the merged result is
+//! **bit-identical** to the default, one-shard (flat) session — same
+//! itemsets and supports, same rules, same reports — while each shard
+//! keeps its own persistent vertical index (a delete rebuilds only the
+//! shard it lands on) and scans in parallel as its own chunk partition.
+//! The routing spec is pure configuration: it is validated at build time
+//! and never changes a result, only where rows live. See
+//! `DESIGN_SHARDING.md` for the invariants.
 //!
 //! ```
 //! use fup::{Maintainer, MinConfidence, MinSupport, ShardSpec, Tid};
@@ -296,6 +297,7 @@
 //!         .min_confidence(MinConfidence::percent(60))
 //! };
 //! let mut flat = builder().build(history.clone()).unwrap();
+//! assert_eq!(flat.store().num_shards(), 1);
 //! let mut sharded = builder()
 //!     .shard_spec(ShardSpec::striped_with(4, 1)) // tid t -> shard t % 4
 //!     .build(history)
@@ -416,8 +418,8 @@ pub use fup_core::{
     BuildError, Cluster, CommitPolicy, DurabilityPolicy, Fup, Fup2, FupConfig, FupOutcome,
     HealthReport, HealthState, IndexStats, ItemsetDiff, LogState, Maintainer, MaintainerBuilder,
     MaintainerService, MaintenanceReport, RecoveryReport, RetryPolicy, RuleDiff, RuleSnapshot,
-    ServiceError, ServiceHealth, ServiceMetrics, SessionStore, ShardHealth, ShardWorker,
-    StageHandle, UpdatePolicy, Updater, WorkerProbe,
+    ServiceError, ServiceHealth, ServiceMetrics, ShardHealth, ShardWorker, StageHandle,
+    UpdatePolicy, Updater, WorkerProbe,
 };
 pub use fup_datagen::{GenParams, QuestGenerator};
 pub use fup_mining::{
