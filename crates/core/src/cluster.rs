@@ -65,11 +65,10 @@ use fup_tidb::{
 use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
 use crate::error::{Error, Result};
-use crate::fup::Fup;
 use crate::fup2::Fup2;
 use crate::policy::UpdatePolicy;
 use crate::service::ShardHealth;
-use crate::session::{MaintenanceReport, RuleSnapshot, SnapshotState, Updater};
+use crate::session::{MaintenanceReport, RuleSnapshot, SnapshotState};
 use crate::vindex::{IndexSlot, VerticalProvider};
 
 /// Per-shard WAL file name inside the worker's storage namespace.
@@ -537,7 +536,7 @@ impl TransactionSource for PhantomSource {
 /// to the workers and the per-shard answers are summed element-wise —
 /// supports are additive over disjoint tid ranges, so the sums equal a
 /// flat index's splits bit for bit. Worker failures cannot surface as
-/// `Err` through the provider seam (the round loops treat counts as
+/// `Err` through the provider seam (the round loop treats counts as
 /// infallible), so they are recorded in a failure flag the coordinator
 /// checks after the run; counts returned after a failure are garbage
 /// and the round is aborted without looking at them.
@@ -721,7 +720,6 @@ pub struct Cluster {
     minconf: MinConfidence,
     config: FupConfig,
     policy: UpdatePolicy,
-    updater: Updater,
     workers: Vec<WorkerHandle>,
     threads: Vec<Option<JoinHandle<()>>>,
     storages: Vec<Arc<dyn DurableStorage>>,
@@ -828,7 +826,6 @@ impl Cluster {
             minconf,
             config,
             policy: UpdatePolicy::default(),
-            updater: Updater::default(),
             workers,
             threads,
             storages,
@@ -865,12 +862,6 @@ impl Cluster {
     /// Replaces the re-mine routing policy.
     pub fn set_policy(&mut self, policy: UpdatePolicy) {
         self.policy = policy;
-    }
-
-    /// Forces the updater choice ([`Updater::Auto`] picks FUP for
-    /// pure-insert rounds, FUP2 otherwise).
-    pub fn set_updater(&mut self, updater: Updater) {
-        self.updater = updater;
     }
 
     /// Bounds the staged-but-uncommitted backlog (the backpressure
@@ -1101,37 +1092,19 @@ impl Cluster {
                 .clone()
         }));
         let inserted_db = TransactionDb::from_transactions(batch.inserts.iter().cloned());
-        let pure_insert = d_minus == 0;
-        let use_fup = match self.updater {
-            Updater::Auto => pure_insert,
-            Updater::Fup => true,
-            Updater::Fup2 => false,
-        };
-        if use_fup {
-            debug_assert!(pure_insert, "FUP cannot process deletions");
-        }
         let state = Arc::clone(&self.state);
         let mut provider = ClusterProvider::new(&self.workers);
-        let outcome = if use_fup {
-            let base = PhantomSource::new(self.total_live);
-            Fup::with_config(self.config.clone()).update_with_provider(
-                &base,
-                state.large(),
-                &inserted_db,
-                self.minsup,
-                &mut provider,
-            )
-        } else {
-            let remainder = PhantomSource::new(self.total_live - d_minus);
-            Fup2::with_config(self.config.clone()).update_with_provider(
-                &remainder,
-                state.large(),
-                &deleted_db,
-                &inserted_db,
-                self.minsup,
-                &mut provider,
-            )
-        };
+        // `deleted_db` is empty on a pure insertion, which makes this
+        // round FUP.
+        let remainder = PhantomSource::new(self.total_live - d_minus);
+        let outcome = Fup2::with_config(self.config.clone()).update_with_provider(
+            &remainder,
+            state.large(),
+            &deleted_db,
+            &inserted_db,
+            self.minsup,
+            &mut provider,
+        );
         let failure = provider.take_failure();
         drop(provider);
         if let Some((shard, reason)) = failure {
@@ -1169,8 +1142,12 @@ impl Cluster {
         self.staging.live_insert(new_tids.iter().copied());
         self.next_tid += batch.inserts.len() as u64;
         self.total_live = self.total_live + batch.inserts.len() as u64 - d_minus;
-        let algorithm = if use_fup { "fup" } else { "fup2" };
-        Ok(self.publish(outcome.large, algorithm, outcome.stats, new_tids))
+        Ok(self.publish(
+            outcome.large,
+            outcome.stats.algorithm,
+            outcome.stats,
+            new_tids,
+        ))
     }
 
     /// Policy-routed re-mine: the batch still two-phases through the

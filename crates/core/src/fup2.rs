@@ -1,4 +1,4 @@
-//! FUP2 — the general insert/delete maintenance algorithm.
+//! The FUP/FUP2 round loop — the one place incremental maintenance runs.
 //!
 //! §5 of the paper: "We have also investigated the cases of deletion and
 //! modification of a transaction database." FUP2 generalises FUP to an
@@ -13,14 +13,27 @@
 //!   `X.support_D ≤ ⌈s×D⌉ − 1` is known; `X` can be large in `DB'` only if
 //!   `(⌈s×D⌉ − 1) − X.support_{db⁻} + X.support_{db⁺} ≥ ⌈s×(D−d⁻+d⁺)⌉`.
 //!   Candidates failing this test are pruned before the `DB⁻` scan — the
-//!   FUP2 analogue of Lemma 2/5. (With `db⁻ = ∅` the test reduces exactly
-//!   to FUP's `support_{db} ≥ s×d` up to the known-small slack, and FUP's
-//!   stronger form is applied in that case.)
+//!   FUP2 analogue of Lemma 2/5.
 //!
-//! Trimming: the insert side and `DB⁻` are trimmed as in FUP; the *delete*
-//! side is never trimmed — undercounting `support_{db⁻}` would inflate
-//! `support'` and could fabricate winners, so `db⁻` is always scanned
-//! whole (it is small by assumption).
+//! **FUP is the `db⁻ = ∅` case.** The arithmetic then reduces to FUP's
+//! Lemmas 1 and 4, and the loop applies FUP's stronger Lemma 2/5 gate
+//! (`X.support_{db⁺} ≥ s × d⁺`) instead of the bound, together with the
+//! two savings it enables: pass 1 counts `DB` only for the items of
+//! `db⁺` that survive Lemma 2 (no `DB` scan at all when none do), and
+//! the DHP pair buckets over `db⁺` thin `C₂` before it is counted (§3.4).
+//! [`Fup::update`](crate::Fup::update) is this loop with an empty `db⁻`,
+//! and reports itself as `"fup"`; a round with deletions reports
+//! `"fup2"`.
+//!
+//! Each iteration `k` scans at most the small sides `db⁺`/`db⁻` and, for
+//! the candidates that pass the gate, `DB⁻` once. `Lemma 3` filters old
+//! itemsets with a losing `(k−1)`-subset without any scan.
+//!
+//! Trimming: the insert side and `DB⁻` are trimmed as in FUP (`Reduce-db`
+//! and `Reduce-DB`, §3.4); the *delete* side is never trimmed —
+//! undercounting `support_{db⁻}` would inflate `support'` and could
+//! fabricate winners, so `db⁻` is always scanned whole (it is small by
+//! assumption).
 
 use crate::config::FupConfig;
 use crate::error::{Error, Result};
@@ -63,6 +76,9 @@ impl Fup2 {
     /// * `deleted` — `db⁻`, the removed transactions,
     /// * `inserted` — `db⁺`, the new transactions,
     /// * `minsup` — the unchanged minimum support threshold.
+    ///
+    /// With an empty `deleted` this is exactly
+    /// [`Fup::update`](crate::Fup::update).
     pub fn update(
         &self,
         remainder: &dyn TransactionSource,
@@ -78,12 +94,13 @@ impl Fup2 {
     }
 
     /// [`update`](Self::update) generalised over the source of vertical
-    /// splits, exactly as [`Fup::update_with_provider`](crate::fup::Fup):
-    /// `update` counts through a throwaway [`SlotProvider`] over
+    /// splits: `update` counts through a throwaway [`SlotProvider`] over
     /// `DB⁻`/`db⁺`, the session through a
     /// [`ShardProvider`](crate::shard::ShardProvider) whose per-shard
     /// persistent indexes (a single one by default) merge by summation.
-    /// The delete side is never indexed — it is counted whole either way.
+    /// Every threshold decision is made on the summed supports, so the
+    /// result is provider-independent. The delete side is never indexed —
+    /// it is counted whole either way.
     pub(crate) fn update_with_provider(
         &self,
         remainder: &dyn TransactionSource,
@@ -106,8 +123,9 @@ impl Fup2 {
         }
         let n = d_rem + d_plus;
 
-        let mut stats = MiningStats::new("fup2");
+        let mut stats = MiningStats::new(if d_minus == 0 { "fup" } else { "fup2" });
         if d_minus == 0 && d_plus == 0 {
+            // DB' = DB, so the baseline is the answer.
             stats.elapsed = start.elapsed();
             return Ok(FupOutcome {
                 large: old.clone(),
@@ -128,20 +146,29 @@ impl Fup2 {
         let mut result = LargeItemsets::new(n);
         let mut detail = Vec::new();
 
-        // The candidate-pruning bound: X ∉ L_k means
-        // support_D(X) ≤ old_cap = ⌈s×D⌉ − 1.
+        // The candidate gate. Without deletions it is FUP's Lemma 2/5: a
+        // candidate light in db⁺ cannot win. With deletions only the
+        // bound X ∉ L_k ⇒ support_D(X) ≤ old_cap = ⌈s×D⌉ − 1 is known, so
+        // X survives iff old_cap − support_{db⁻} + support_{db⁺} reaches
+        // ⌈s×n⌉ (in i128 to dodge underflow).
         let old_cap = minsup.required_count(d_orig).saturating_sub(1);
-        let survives = |sup_minus: u64, sup_plus: u64| -> bool {
-            // (old_cap − sup_minus + sup_plus ≥ required(n)), in i128 to
-            // dodge underflow.
+        let gate = |sup_minus: u64, sup_plus: u64| -> bool {
+            if d_minus == 0 {
+                return minsup.is_large(sup_plus, d_plus);
+            }
             let bound = i128::from(old_cap) - i128::from(sup_minus) + i128::from(sup_plus);
             bound >= i128::from(minsup.required_count(n))
         };
 
         // ------------------------- Iteration 1 -------------------------
-        // Adaptive bucket count, as in `Fup`: ~one bucket per expected pair
-        // occurrence in `db⁺`, capped by the configuration.
-        let nbuckets_plus = if self.config.dhp_hash && d_plus > 0 {
+        // One scan of db⁺: per-item counts, plus (optionally) DHP
+        // pair-bucket counts for the iteration-2 filter. The buckets bound
+        // support_{db⁺}, which decides a candidate only without
+        // deletions, so they are hashed only then. Bucket count adapts to
+        // the increment: ~one bucket per expected pair occurrence gives
+        // strong filtering without allocating a huge table for a small
+        // db⁺. `config.hash_buckets` caps it.
+        let nbuckets = if self.config.dhp_hash && d_minus == 0 {
             (d_plus.saturating_mul(64))
                 .next_power_of_two()
                 .clamp(1024, self.config.hash_buckets.max(1024) as u64) as usize
@@ -149,10 +176,15 @@ impl Fup2 {
             0
         };
         let (plus_counts, pair_buckets) =
-            count_items_and_pairs(inserted, nbuckets_plus, &self.config.engine);
-        let (minus_counts, _) = count_items_and_pairs(deleted, 0, &self.config.engine);
-        let at = |v: &Vec<u64>, item: ItemId| v.get(item.index()).copied().unwrap_or(0);
+            count_items_and_pairs(inserted, nbuckets, &self.config.engine);
+        let minus_counts = if d_minus > 0 {
+            count_items_and_pairs(deleted, 0, &self.config.engine).0
+        } else {
+            Vec::new()
+        };
+        let at = |v: &[u64], item: ItemId| v.get(item.index()).copied().unwrap_or(0);
 
+        // Winners and losers among the old L₁ (Lemma 1).
         let mut losers_prev: HashSet<Itemset> = HashSet::new();
         let mut winners_from_old = 0u64;
         for (x, sup_d) in old.level(1) {
@@ -166,65 +198,24 @@ impl Fup2 {
             }
         }
 
-        // Candidate items: anything not in L₁ may emerge (deletions can
-        // promote items that never occur in db⁺), so all items are counted
-        // in one dense pass over DB⁻ and decided afterwards. The
-        // `survives` bound still prunes the *reporting*, and for the
-        // insert-only case FUP's stronger Lemma-2 check applies.
-        let rem_counts = if let Some(counts) = provider.count_base_dense(&self.config.engine) {
-            // A remote provider histogrammed DB⁻ where its rows live;
-            // per-shard histograms sum to exactly this scan's output.
-            counts
+        // New candidate items: how many there are, and each one that
+        // passes the gate with its support in DB'.
+        let (generated1, checked1) = if d_minus == 0 {
+            self.new_items_insert_only(remainder, old, &plus_counts, minsup, d_plus, provider)
         } else {
-            engine::merge_dense(engine::scan_fold(
-                remainder,
-                &self.config.engine,
-                Vec::new,
-                |counts: &mut Vec<u64>, _chunk, t| {
-                    for &item in t {
-                        let i = item.index();
-                        if i >= counts.len() {
-                            counts.resize(i + 1, 0);
-                        }
-                        counts[i] += 1;
-                    }
-                },
-            ))
+            self.new_items_with_deletes(remainder, old, &plus_counts, &minus_counts, gate, provider)
         };
-        let max_len = rem_counts
-            .len()
-            .max(plus_counts.len())
-            .max(minus_counts.len());
         let mut winners_from_new1 = 0u64;
-        let mut generated1 = 0u64;
-        let mut checked1 = 0u64;
-        for i in 0..max_len {
-            let item = ItemId(i as u32);
-            let x = Itemset::single(item);
-            if old.contains(&x) {
-                continue;
-            }
-            let plus = at(&plus_counts, item);
-            let minus = at(&minus_counts, item);
-            let rem = rem_counts.get(i).copied().unwrap_or(0);
-            if plus == 0 && minus == 0 && rem == 0 {
-                continue;
-            }
-            generated1 += 1;
-            if !survives(minus, plus) {
-                continue;
-            }
-            checked1 += 1;
-            let sup_new = rem + plus;
+        for &(item, sup_new) in &checked1 {
             if minsup.is_large(sup_new, n) {
-                result.insert(x, sup_new);
+                result.insert(Itemset::single(item), sup_new);
                 winners_from_new1 += 1;
             }
         }
         stats.passes.push(PassStats {
             k: 1,
             candidates_generated: generated1,
-            candidates_checked: checked1,
+            candidates_checked: checked1.len() as u64,
             large_found: winners_from_old + winners_from_new1,
         });
         detail.push(FupPassDetail {
@@ -234,35 +225,35 @@ impl Fup2 {
             winners_from_old,
             candidates_generated: generated1,
             candidates_after_hash: generated1,
-            candidates_checked: checked1,
+            candidates_checked: checked1.len() as u64,
             winners_from_new: winners_from_new1,
         });
 
         // --------------------- Iterations k ≥ 2 ------------------------
         // Backend selection input: raw average transaction length of
         // whichever delta side has data stands in for the frequent-item
-        // residue (an overestimate on filler-heavy data, as in `Fup`; the
-        // index itself is filtered to old L₁ ∪ new L₁).
+        // residue the miners feed `Auto` (the frequent set of DB' is not
+        // known here without extra work) — an overestimate on
+        // filler-heavy data, so `Auto` may engage slightly earlier than
+        // the calibrated thresholds intend; the index itself *is* filtered
+        // to old L₁ ∪ new L₁ (see `vindex::build_update_index`).
         let residue = if d_plus > 0 {
             plus_counts.iter().sum::<u64>() as f64 / d_plus as f64
         } else {
-            minus_counts.iter().sum::<u64>() as f64 / d_minus.max(1) as f64
+            minus_counts.iter().sum::<u64>() as f64 / d_minus as f64
         };
         // The vertical index (or per-shard indexes) covering DB⁻ ∪ db⁺
         // (the updated database) is built lazily by the provider: the
         // remainder's tid-lists are materialised once and the insert
         // side's delta scan only extends them; one intersection split at
-        // tid |DB⁻| yields (support in DB⁻, support in db⁺). The delete
-        // side is never indexed — it is counted whole, as the trimming
-        // rules already require.
-        let nbuckets = pair_buckets.len();
+        // tid |DB⁻| yields (support in DB⁻, support in db⁺).
         let mut plus_working: Option<TransactionDb> = None;
         let mut rem_working: Option<TransactionDb> = None;
         let mut k = 2;
         while (old.len_at(k) > 0 || result.len_at(k - 1) > 0)
             && self.config.max_k.is_none_or(|m| k <= m)
         {
-            // Lemma 3 (unchanged): supersets of losers lose.
+            // Lemma 3: drop old itemsets with a losing (k−1)-subset.
             let mut w: Vec<(Itemset, u64)> = Vec::with_capacity(old.len_at(k));
             let mut lemma3 = 0u64;
             let mut losers_k: HashSet<Itemset> = HashSet::new();
@@ -277,15 +268,19 @@ impl Fup2 {
                 }
             }
 
+            // C_k = apriori-gen(L'_{k−1}) − L_k.
             let prev_new: Vec<Itemset> = result.level(k - 1).map(|(x, _)| x.clone()).collect();
             let mut candidates: Vec<Itemset> = apriori_gen_with(&prev_new, &self.config.engine.gen)
                 .into_iter()
                 .filter(|x| !old.contains(x))
                 .collect();
             let generated = candidates.len() as u64;
-            if k == 2 && nbuckets > 0 && d_minus == 0 {
-                // Pure insertion: the db⁺ pair buckets bound support_{db⁺},
-                // and FUP's Lemma-5 form applies.
+
+            // DHP hash filter for the size-2 candidates (§3.4): a pair's
+            // bucket total bounds its db⁺ support, so a light bucket proves
+            // Lemma 5's condition fails.
+            if k == 2 && !pair_buckets.is_empty() {
+                let nbuckets = pair_buckets.len();
                 candidates.retain(|c| {
                     let b = pair_bucket(c.items()[0], c.items()[1], nbuckets);
                     minsup.is_large(pair_buckets[b], d_plus)
@@ -293,65 +288,77 @@ impl Fup2 {
             }
             let after_hash = candidates.len() as u64;
 
-            if w.is_empty() && candidates.is_empty() {
-                stats.passes.push(PassStats {
-                    k,
-                    candidates_generated: generated,
-                    candidates_checked: 0,
-                    large_found: 0,
-                });
-                detail.push(FupPassDetail {
-                    k,
-                    old_large: old.len_at(k) as u64,
-                    lemma3_losers: lemma3,
-                    winners_from_old: 0,
-                    candidates_generated: generated,
-                    candidates_after_hash: after_hash,
-                    candidates_checked: 0,
-                    winners_from_new: 0,
-                });
-                losers_prev = losers_k;
-                k += 1;
-                continue;
-            }
-
-            // Vertical path (sticky once engaged): (DB⁻, db⁺) supports
-            // come from one split intersection per itemset; only the
-            // small delete side still runs a counting pass. Decisions
-            // mirror the scanning path exactly.
-            // As in FUP: only `C` can force scans of the remaining
-            // database, so backend selection weighs the candidate pool
-            // alone.
-            let use_vertical = provider.engaged()
-                || self.config.engine.backend.resolve(&PassProfile {
-                    k,
-                    candidates: candidates.len(),
-                    transactions: n,
-                    residue,
-                }) == ResolvedBackend::Vertical;
-            if use_vertical {
-                provider.engage(old, &result, &self.config.engine);
-                // Trimmed working copies are never consulted again.
-                plus_working = None;
-                rem_working = None;
-                let w_table = crate::vindex::sorted_w_table(&mut w, k);
+            let (winners_old_k, checked, winners_new_k) = if w.is_empty() && candidates.is_empty() {
+                // Every remaining old itemset at this level is a loser.
+                (0, 0, 0)
+            } else {
                 let w_len = w.len();
-                // db⁻ supports for W ∪ C (in W-then-C order) via one pass
-                // over the (small, never trimmed) delete side.
-                let minus_k: Vec<u64> = if d_minus > 0 {
-                    let mut combined: Vec<Itemset> = Vec::with_capacity(w_len + candidates.len());
-                    combined.extend(w.iter().map(|(x, _)| x.clone()));
-                    combined.extend(candidates.iter().cloned());
-                    let mut tree = HashTree::build(combined);
-                    engine::count_source_into(&mut tree, deleted, &self.config.engine);
-                    tree.into_counts()
+                // Vertical path (sticky once engaged): every (DB⁻, db⁺)
+                // support of W ∪ C comes from one split intersection per
+                // itemset — no scan of either source beyond the one-time
+                // index build. Only `C` can force scans of the big
+                // remaining database (W is counted over the small sides
+                // either way), so backend selection weighs the candidate
+                // pool alone: the gate usually keeps it tiny, and then the
+                // classic path is already near-optimal.
+                let use_vertical = provider.engaged()
+                    || self.config.engine.backend.resolve(&PassProfile {
+                        k,
+                        candidates: candidates.len(),
+                        transactions: n,
+                        residue,
+                    }) == ResolvedBackend::Vertical;
+                // db⁺ supports of W then C, db⁻ supports likewise (empty
+                // without deletions), and — from the index — the DB⁻
+                // supports of every candidate.
+                let (plus_k, minus_k, rem_c) = if use_vertical {
+                    provider.engage(old, &result, &self.config.engine);
+                    // Trimmed working copies are never consulted again.
+                    plus_working = None;
+                    rem_working = None;
+                    let w_table = crate::vindex::sorted_w_table(&mut w, k);
+                    let minus_k = if d_minus > 0 {
+                        let mut tree = HashTree::build(
+                            w.iter()
+                                .map(|(x, _)| x.clone())
+                                .chain(candidates.iter().cloned())
+                                .collect(),
+                        );
+                        engine::count_source_into(&mut tree, deleted, &self.config.engine);
+                        tree.into_counts()
+                    } else {
+                        Vec::new()
+                    };
+                    let mut plus_k: Vec<u64> = provider
+                        .count_split(&w_table, &self.config.engine)
+                        .into_iter()
+                        .map(|(_, sup_plus)| sup_plus)
+                        .collect();
+                    let c_table = ItemsetTable::from_sorted_itemsets(&candidates);
+                    let (rem_c, plus_c): (Vec<u64>, Vec<u64>) = provider
+                        .count_split(&c_table, &self.config.engine)
+                        .into_iter()
+                        .unzip();
+                    plus_k.extend(plus_c);
+                    (plus_k, minus_k, Some(rem_c))
                 } else {
-                    vec![0; w_len + candidates.len()]
+                    let (plus_k, minus_k) = self.count_small_sides(
+                        &w,
+                        &candidates,
+                        k,
+                        inserted,
+                        deleted,
+                        &mut plus_working,
+                    );
+                    (plus_k, minus_k, None)
                 };
-                let w_splits = provider.count_split(&w_table, &self.config.engine);
+                let minus_at = |i: usize| minus_k.get(i).copied().unwrap_or(0);
+
+                // Winners/losers among W by exact delta arithmetic
+                // (Lemma 4 when nothing is deleted).
                 let mut winners_old_k = 0u64;
-                for (i, ((x, sup_d), &(_, sup_plus))) in w.iter().zip(&w_splits).enumerate() {
-                    let sup_new = sup_d + sup_plus - minus_k[i];
+                for (i, (x, sup_d)) in w.iter().enumerate() {
+                    let sup_new = sup_d + plus_k[i] - minus_at(i);
                     if minsup.is_large(sup_new, n) {
                         result.insert(x.clone(), sup_new);
                         winners_old_k += 1;
@@ -359,190 +366,34 @@ impl Fup2 {
                         losers_k.insert(x.clone());
                     }
                 }
-                let c_table = ItemsetTable::from_sorted_itemsets(&candidates);
-                let c_splits = provider.count_split(&c_table, &self.config.engine);
-                let mut checked = 0u64;
-                let mut winners_new_k = 0u64;
-                for (i, (x, (sup_rem, sup_plus))) in
-                    candidates.into_iter().zip(c_splits).enumerate()
-                {
-                    let sup_minus = minus_k[w_len + i];
-                    // The FUP2 bound (or FUP's stronger Lemma 5 without
-                    // deletions) gates winners exactly as the scanning
-                    // path does, keeping `checked` and the result
-                    // identical.
-                    let keep = if d_minus == 0 {
-                        minsup.is_large(sup_plus, d_plus)
-                    } else {
-                        survives(sup_minus, sup_plus)
-                    };
-                    if !keep {
-                        continue;
-                    }
-                    checked += 1;
-                    let sup_new = sup_rem + sup_plus;
-                    if minsup.is_large(sup_new, n) {
-                        result.insert(x, sup_new);
-                        winners_new_k += 1;
-                    }
-                }
-                stats.passes.push(PassStats {
-                    k,
-                    candidates_generated: generated,
-                    candidates_checked: checked,
-                    large_found: winners_old_k + winners_new_k,
-                });
-                detail.push(FupPassDetail {
-                    k,
-                    old_large: old.len_at(k) as u64,
-                    lemma3_losers: lemma3,
-                    winners_from_old: winners_old_k,
-                    candidates_generated: generated,
-                    candidates_after_hash: after_hash,
-                    candidates_checked: checked,
-                    winners_from_new: winners_new_k,
-                });
-                losers_prev = losers_k;
-                k += 1;
-                continue;
-            }
 
-            // Count W ∪ C over db⁺ (trimming allowed) and db⁻ (never
-            // trimmed — see module docs).
-            let w_len = w.len();
-            let mut combined: Vec<Itemset> = Vec::with_capacity(w_len + candidates.len());
-            combined.extend(w.iter().map(|(x, _)| x.clone()));
-            combined.extend(candidates.iter().cloned());
-            let mut tree = HashTree::build(combined);
-            // Engine pass over db⁺ with optional `Reduce-db` trimming
-            // (chunk-ordered, so the working copy is deterministic).
-            let reduce_plus = self.config.reduce_db;
-            {
-                let src: &dyn TransactionSource = match &plus_working {
-                    Some(wdb) => wdb,
-                    None => inserted,
-                };
-                let view = tree.view();
-                let folds = engine::scan_fold(
-                    src,
-                    &self.config.engine,
-                    || (tree.new_scratch(), ChunkedCollector::new()),
-                    |(scratch, kept), chunk, t| {
-                        if reduce_plus {
-                            let mut matched: Vec<usize> = Vec::new();
-                            view.count_with(t, scratch, &mut |i| matched.push(i));
-                            if let Some(reduced) = reduce::reduce_db_transaction(
-                                t,
-                                matched.iter().map(|&i| view.candidate(i)),
-                                k,
-                            ) {
-                                kept.push(chunk, reduced);
-                            }
-                        } else {
-                            view.count(t, scratch);
+                // Gate the candidates; only survivors need their DB⁻
+                // support.
+                let mut pruned: Vec<(Itemset, u64)> = Vec::new();
+                let mut rem_pruned: Vec<u64> = Vec::new();
+                for (i, x) in candidates.into_iter().enumerate() {
+                    let sup_plus = plus_k[w_len + i];
+                    if gate(minus_at(w_len + i), sup_plus) {
+                        pruned.push((x, sup_plus));
+                        if let Some(rem_c) = &rem_c {
+                            rem_pruned.push(rem_c[i]);
                         }
-                    },
-                );
-                let mut collectors = Vec::with_capacity(folds.len());
-                for (scratch, kept) in folds {
-                    tree.absorb(scratch);
-                    collectors.push(kept);
-                }
-                if reduce_plus {
-                    plus_working = Some(TransactionDb::from_transactions(ChunkedCollector::merge(
-                        collectors,
-                    )));
-                }
-            }
-            let plus_counts_k = tree.counts().to_vec();
-            // The delete side is never trimmed (see module docs); counting
-            // it on top of the db⁺ counts gives the combined totals.
-            engine::count_source_into(&mut tree, deleted, &self.config.engine);
-            let total_counts_k = tree.counts().to_vec();
-            let minus_of = |i: usize| total_counts_k[i] - plus_counts_k[i];
-
-            // Winners/losers among W, by exact delta arithmetic.
-            let mut winners_old_k = 0u64;
-            for (idx, (x, sup_d)) in w.iter().enumerate() {
-                let sup_new = sup_d + plus_counts_k[idx] - minus_of(idx);
-                if minsup.is_large(sup_new, n) {
-                    result.insert(x.clone(), sup_new);
-                    winners_old_k += 1;
-                } else {
-                    losers_k.insert(x.clone());
-                }
-            }
-
-            // Prune candidates by the FUP2 bound (and FUP's stronger
-            // Lemma-5 when there are no deletions).
-            let mut pruned: Vec<(Itemset, u64)> = Vec::new();
-            for (idx, x) in candidates.into_iter().enumerate() {
-                let sup_plus = plus_counts_k[w_len + idx];
-                let sup_minus = minus_of(w_len + idx);
-                let keep = if d_minus == 0 {
-                    minsup.is_large(sup_plus, d_plus)
-                } else {
-                    survives(sup_minus, sup_plus)
-                };
-                if keep {
-                    pruned.push((x, sup_plus));
-                }
-            }
-            let checked = pruned.len() as u64;
-
-            // Scan DB⁻ for the survivors; apply Reduce-DB.
-            let mut winners_new_k = 0u64;
-            if !pruned.is_empty() {
-                let keep_items = if self.config.reduce_db {
-                    Some(reduce::item_universe(
-                        old.level(k)
-                            .map(|(x, _)| x)
-                            .chain(pruned.iter().map(|(x, _)| x)),
-                    ))
-                } else {
-                    None
-                };
-                let cand_sets: Vec<Itemset> = pruned.iter().map(|(x, _)| x.clone()).collect();
-                let mut ctree = HashTree::build(cand_sets);
-                {
-                    let src: &dyn TransactionSource = match &rem_working {
-                        Some(wdb) => wdb,
-                        None => remainder,
-                    };
-                    let view = ctree.view();
-                    let keep_ref = keep_items.as_ref();
-                    let folds = engine::scan_fold(
-                        src,
-                        &self.config.engine,
-                        || (ctree.new_scratch(), ChunkedCollector::new()),
-                        |(scratch, kept), chunk, t| {
-                            view.count(t, scratch);
-                            if let Some(keep) = keep_ref {
-                                if let Some(reduced) = reduce::reduce_full_transaction(t, keep, k) {
-                                    kept.push(chunk, reduced);
-                                }
-                            }
-                        },
-                    );
-                    let mut collectors = Vec::with_capacity(folds.len());
-                    for (scratch, kept) in folds {
-                        ctree.absorb(scratch);
-                        collectors.push(kept);
-                    }
-                    if keep_items.is_some() {
-                        rem_working = Some(TransactionDb::from_transactions(
-                            ChunkedCollector::merge(collectors),
-                        ));
                     }
                 }
-                for ((x, sup_plus), sup_rem) in pruned.into_iter().zip(ctree.counts()) {
+                let checked = pruned.len() as u64;
+                if rem_c.is_none() && !pruned.is_empty() {
+                    rem_pruned = self.count_remainder(&pruned, old, k, remainder, &mut rem_working);
+                }
+                let mut winners_new_k = 0u64;
+                for ((x, sup_plus), sup_rem) in pruned.into_iter().zip(rem_pruned) {
                     let sup_new = sup_rem + sup_plus;
                     if minsup.is_large(sup_new, n) {
                         result.insert(x, sup_new);
                         winners_new_k += 1;
                     }
                 }
-            }
+                (winners_old_k, checked, winners_new_k)
+            };
 
             stats.passes.push(PassStats {
                 k,
@@ -560,7 +411,6 @@ impl Fup2 {
                 candidates_checked: checked,
                 winners_from_new: winners_new_k,
             });
-
             losers_prev = losers_k;
             k += 1;
         }
@@ -574,6 +424,259 @@ impl Fup2 {
             stats,
             detail,
         })
+    }
+
+    /// Pass 1's new items without deletions (FUP's iteration 1): only
+    /// items of db⁺ can emerge, Lemma 2 drops those light in db⁺ (the
+    /// paper's P set), and `DB` is counted for the survivors alone —
+    /// not at all when none survive, FUP's headline saving. Returns the
+    /// number of candidates and each survivor with its support in `DB'`.
+    ///
+    /// Deviation from the paper's letter, kept to its spirit: the paper
+    /// rewrites `DB` without the P items *during* this scan, because on
+    /// disk the rewrite rides along for free. In memory a copy is pure
+    /// overhead, and the `Reduce-DB` keep-set applied at iteration 2
+    /// (items of `L₂ ∪ C₂` only) strictly subsumes P-removal, so the
+    /// first trimmed copy is built there instead.
+    fn new_items_insert_only(
+        &self,
+        remainder: &dyn TransactionSource,
+        old: &LargeItemsets,
+        plus_counts: &[u64],
+        minsup: MinSupport,
+        d_plus: u64,
+        provider: &dyn VerticalProvider,
+    ) -> (u64, Vec<(ItemId, u64)>) {
+        let mut generated = 0u64;
+        let mut c1: Vec<(ItemId, u64)> = Vec::new();
+        for (i, &count) in plus_counts.iter().enumerate() {
+            let item = ItemId(i as u32);
+            if count == 0 || old.contains(&Itemset::single(item)) {
+                continue;
+            }
+            generated += 1;
+            if minsup.is_large(count, d_plus) {
+                c1.push((item, count));
+            }
+        }
+        if c1.is_empty() {
+            return (generated, c1);
+        }
+        let items: Vec<ItemId> = c1.iter().map(|(item, _)| *item).collect();
+        // A remote provider counts DB where its rows live; the summed
+        // per-shard counts are the same sums this scan would produce.
+        let db_counts = provider
+            .count_base_items(&items, &self.config.engine)
+            .unwrap_or_else(|| {
+                // Items are dense, so the candidate index is a flat array
+                // (u32::MAX = not a candidate) — no hashing in the hot loop.
+                let max_item = items.iter().map(|i| i.index()).max().unwrap_or(0);
+                let mut index_of: Vec<u32> = vec![u32::MAX; max_item + 1];
+                for (idx, item) in items.iter().enumerate() {
+                    index_of[item.index()] = idx as u32;
+                }
+                let tables = engine::scan_fold(
+                    remainder,
+                    &self.config.engine,
+                    || vec![0u64; items.len()],
+                    |counts: &mut Vec<u64>, _chunk, t| {
+                        for &item in t {
+                            if let Some(&idx) = index_of.get(item.index()) {
+                                if idx != u32::MAX {
+                                    counts[idx as usize] += 1;
+                                }
+                            }
+                        }
+                    },
+                );
+                engine::merge_dense(tables)
+            });
+        for ((_, sup), sup_db) in c1.iter_mut().zip(db_counts) {
+            *sup += sup_db;
+        }
+        (generated, c1)
+    }
+
+    /// Pass 1's new items with deletions: an item absent from db⁺ can
+    /// still emerge once rows leave, so every item of `DB⁻` is counted in
+    /// one dense pass, and `gate` (the FUP2 bound) decides which are
+    /// checked. Returns the number of candidates and each checked one
+    /// with its support in `DB'`.
+    fn new_items_with_deletes(
+        &self,
+        remainder: &dyn TransactionSource,
+        old: &LargeItemsets,
+        plus_counts: &[u64],
+        minus_counts: &[u64],
+        gate: impl Fn(u64, u64) -> bool,
+        provider: &dyn VerticalProvider,
+    ) -> (u64, Vec<(ItemId, u64)>) {
+        // A remote provider histograms DB⁻ where its rows live;
+        // per-shard histograms sum to exactly this scan's output.
+        let rem_counts = provider
+            .count_base_dense(&self.config.engine)
+            .unwrap_or_else(|| {
+                engine::merge_dense(engine::scan_fold(
+                    remainder,
+                    &self.config.engine,
+                    Vec::new,
+                    |counts: &mut Vec<u64>, _chunk, t| {
+                        for &item in t {
+                            let i = item.index();
+                            if i >= counts.len() {
+                                counts.resize(i + 1, 0);
+                            }
+                            counts[i] += 1;
+                        }
+                    },
+                ))
+            });
+        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+        let max_len = rem_counts
+            .len()
+            .max(plus_counts.len())
+            .max(minus_counts.len());
+        let mut generated = 0u64;
+        let mut checked = Vec::new();
+        for i in 0..max_len {
+            let item = ItemId(i as u32);
+            if old.contains(&Itemset::single(item)) {
+                continue;
+            }
+            let (plus, minus, rem) = (at(plus_counts, i), at(minus_counts, i), at(&rem_counts, i));
+            if plus == 0 && minus == 0 && rem == 0 {
+                continue;
+            }
+            generated += 1;
+            if gate(minus, plus) {
+                checked.push((item, rem + plus));
+            }
+        }
+        (generated, checked)
+    }
+
+    /// Hash-tree path of iteration `k`: the db⁺ and db⁻ supports of
+    /// `W` then `C`. One engine pass over db⁺ (or its trimmed working
+    /// copy) counts them and, with `Reduce-db`, keeps the trimmed
+    /// transactions per chunk so the next working copy is deterministic.
+    /// The delete side is never trimmed (see module docs) and is counted
+    /// only when non-empty; its supports come back empty otherwise.
+    fn count_small_sides(
+        &self,
+        w: &[(Itemset, u64)],
+        candidates: &[Itemset],
+        k: usize,
+        inserted: &dyn TransactionSource,
+        deleted: &dyn TransactionSource,
+        plus_working: &mut Option<TransactionDb>,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut combined: Vec<Itemset> = Vec::with_capacity(w.len() + candidates.len());
+        combined.extend(w.iter().map(|(x, _)| x.clone()));
+        combined.extend(candidates.iter().cloned());
+        let mut tree = HashTree::build(combined);
+        let reduce_plus = self.config.reduce_db;
+        {
+            let src: &dyn TransactionSource = match plus_working {
+                Some(wdb) => wdb,
+                None => inserted,
+            };
+            let view = tree.view();
+            let folds = engine::scan_fold(
+                src,
+                &self.config.engine,
+                || (tree.new_scratch(), ChunkedCollector::new()),
+                |(scratch, kept), chunk, t| {
+                    if reduce_plus {
+                        let mut matched: Vec<usize> = Vec::new();
+                        view.count_with(t, scratch, &mut |i| matched.push(i));
+                        if let Some(reduced) = reduce::reduce_db_transaction(
+                            t,
+                            matched.iter().map(|&i| view.candidate(i)),
+                            k,
+                        ) {
+                            kept.push(chunk, reduced);
+                        }
+                    } else {
+                        view.count(t, scratch);
+                    }
+                },
+            );
+            let mut collectors = Vec::with_capacity(folds.len());
+            for (scratch, kept) in folds {
+                tree.absorb(scratch);
+                collectors.push(kept);
+            }
+            if reduce_plus {
+                *plus_working = Some(TransactionDb::from_transactions(ChunkedCollector::merge(
+                    collectors,
+                )));
+            }
+        }
+        let plus_k = tree.counts().to_vec();
+        if deleted.num_transactions() == 0 {
+            return (plus_k, Vec::new());
+        }
+        // Counting db⁻ on top of the db⁺ counts gives the combined totals.
+        engine::count_source_into(&mut tree, deleted, &self.config.engine);
+        let minus_k = tree
+            .counts()
+            .iter()
+            .zip(&plus_k)
+            .map(|(total, plus)| total - plus)
+            .collect();
+        (plus_k, minus_k)
+    }
+
+    /// Hash-tree path of iteration `k`: the `DB⁻` supports of the gated
+    /// candidates `pruned`, by one scan of `DB⁻` (or its trimmed working
+    /// copy) that, with `Reduce-DB`, also trims it to the items of
+    /// `L_k ∪ pruned` for the next iteration.
+    fn count_remainder(
+        &self,
+        pruned: &[(Itemset, u64)],
+        old: &LargeItemsets,
+        k: usize,
+        remainder: &dyn TransactionSource,
+        rem_working: &mut Option<TransactionDb>,
+    ) -> Vec<u64> {
+        let keep_items = self.config.reduce_db.then(|| {
+            reduce::item_universe(
+                old.level(k)
+                    .map(|(x, _)| x)
+                    .chain(pruned.iter().map(|(x, _)| x)),
+            )
+        });
+        let mut ctree = HashTree::build(pruned.iter().map(|(x, _)| x.clone()).collect());
+        let src: &dyn TransactionSource = match rem_working {
+            Some(wdb) => wdb,
+            None => remainder,
+        };
+        let view = ctree.view();
+        let keep_ref = keep_items.as_ref();
+        let folds = engine::scan_fold(
+            src,
+            &self.config.engine,
+            || (ctree.new_scratch(), ChunkedCollector::new()),
+            |(scratch, kept), chunk, t| {
+                view.count(t, scratch);
+                if let Some(keep) = keep_ref {
+                    if let Some(reduced) = reduce::reduce_full_transaction(t, keep, k) {
+                        kept.push(chunk, reduced);
+                    }
+                }
+            },
+        );
+        let mut collectors = Vec::with_capacity(folds.len());
+        for (scratch, kept) in folds {
+            ctree.absorb(scratch);
+            collectors.push(kept);
+        }
+        if keep_items.is_some() {
+            *rem_working = Some(TransactionDb::from_transactions(ChunkedCollector::merge(
+                collectors,
+            )));
+        }
+        ctree.into_counts()
     }
 }
 

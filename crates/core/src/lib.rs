@@ -21,6 +21,11 @@
 //! * DHP-style pair hashing over the increment further thins the size-2
 //!   candidates (§3.4, last paragraph).
 //!
+//! [`fup2::Fup2`] generalises the same round to deletions,
+//! `DB' = (DB − db⁻) ∪ db⁺`. FUP is its `db⁻ = ∅` case, so both
+//! algorithms run one round loop and every session commit goes through
+//! it; a round that deletes nothing *is* a FUP round.
+//!
 //! The high-level entry point is the session-oriented
 //! [`session::Maintainer`]: built once through a validating
 //! [`builder`](session::Maintainer::builder), it accumulates update
@@ -88,6 +93,5 @@ pub use service::{
 };
 pub use session::{
     IndexStats, Maintainer, MaintainerBuilder, MaintenanceReport, RuleSnapshot, StageHandle,
-    Updater,
 };
 pub use vindex::IndexSlot;

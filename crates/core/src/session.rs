@@ -61,7 +61,6 @@ use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
 use crate::durable::{self, DurabilityPolicy, DurableLog, RecoveryReport};
 use crate::error::{BuildError, Error, Result};
-use crate::fup::Fup;
 use crate::fup2::Fup2;
 use crate::policy::UpdatePolicy;
 use crate::service::ShardHealth;
@@ -80,22 +79,6 @@ use fup_tidb::{
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Which incremental updater a session runs at commit time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Updater {
-    /// Pick per batch: the paper's FUP for pure insertions, FUP2 once a
-    /// batch carries deletions.
-    #[default]
-    Auto,
-    /// Always the paper's base FUP — insertions only. Building a session
-    /// with this pin requires declaring the workload insert-only
-    /// ([`MaintainerBuilder::deletions`]`(false)`), otherwise the builder
-    /// rejects the combination as [`BuildError::DeletionsWithoutFup2`].
-    Fup,
-    /// Always FUP2 (it subsumes the insert-only case).
-    Fup2,
-}
 
 /// What one maintenance round changed.
 #[derive(Debug, Clone)]
@@ -446,7 +429,6 @@ pub struct MaintainerBuilder {
     chunk_size: Option<usize>,
     backend: Option<CountingBackend>,
     policy: UpdatePolicy,
-    updater: Updater,
     deletions: bool,
     durability: DurabilityPolicy,
     shards: ShardSpec,
@@ -561,16 +543,9 @@ impl MaintainerBuilder {
         self
     }
 
-    /// Pins the incremental updater (default: [`Updater::Auto`]).
-    pub fn updater(mut self, updater: Updater) -> Self {
-        self.updater = updater;
-        self
-    }
-
     /// Declares whether the workload contains deletions (default `true`).
     /// With `false`, staging a batch that deletes anything fails with
-    /// [`Error::DeletionsDisabled`] — and pinning [`Updater::Fup`]
-    /// becomes legal.
+    /// [`Error::DeletionsDisabled`].
     pub fn deletions(mut self, deletions: bool) -> Self {
         self.deletions = deletions;
         self
@@ -645,9 +620,6 @@ impl MaintainerBuilder {
             return Err(BuildError::ZeroMaxK);
         }
         validate_policy(self.policy, &config)?;
-        if self.updater == Updater::Fup && self.deletions {
-            return Err(BuildError::DeletionsWithoutFup2);
-        }
         self.shards
             .validate()
             .map_err(BuildError::InvalidShardSpec)?;
@@ -663,7 +635,6 @@ impl MaintainerBuilder {
         let mut m =
             Maintainer::bootstrap_unchecked(history, minsup, minconf, config, self.shards.clone());
         m.policy = self.policy;
-        m.updater = self.updater;
         m.deletions = self.deletions;
         Ok(m)
     }
@@ -712,7 +683,7 @@ impl MaintainerBuilder {
     /// state is identical to the pre-crash session at its last
     /// durably-acknowledged commit.
     ///
-    /// The builder supplies the *configuration* (engine, policy, updater —
+    /// The builder supplies the *configuration* (engine, policy, shards —
     /// none of that is checkpointed), but its thresholds must match the
     /// checkpointed session's: maintained support counts are only valid
     /// under the thresholds they were mined with.
@@ -788,7 +759,6 @@ impl MaintainerBuilder {
             minconf,
             config,
             policy: self.policy,
-            updater: self.updater,
             deletions: self.deletions,
             slots,
             shard_ops,
@@ -881,7 +851,7 @@ impl MaintainerBuilder {
     }
 }
 
-/// Checks that the configured updater can actually honor `policy` —
+/// Checks that the session's configuration can actually honor `policy` —
 /// shared by the builder and [`Maintainer::set_policy`].
 fn validate_policy(
     policy: UpdatePolicy,
@@ -927,7 +897,6 @@ pub struct Maintainer {
     minconf: MinConfidence,
     config: FupConfig,
     policy: UpdatePolicy,
-    updater: Updater,
     deletions: bool,
     /// One persistent vertical-index slot per shard.
     slots: Vec<IndexSlot>,
@@ -1003,7 +972,6 @@ impl Maintainer {
             minconf,
             config,
             policy: UpdatePolicy::default(),
-            updater: Updater::default(),
             deletions: true,
             slots,
             shard_ops,
@@ -1185,37 +1153,19 @@ impl Maintainer {
             return self.commit_by_remine(batch);
         }
         let staged = self.stage_drained(batch)?;
-        let pure_insert = staged.num_deleted() == 0;
-        let use_fup = match self.updater {
-            Updater::Auto => pure_insert,
-            Updater::Fup => true,
-            Updater::Fup2 => false,
-        };
-        if use_fup {
-            debug_assert!(pure_insert, "deletions are rejected at stage time");
-        }
         // One persistent index slot per shard; per-shard supports merge by
         // summation inside the provider, and every threshold decision gates
-        // on the same global sums at any shard count.
+        // on the same global sums at any shard count. A pure insertion is
+        // FUP2 with an empty delete side, which is FUP.
         let mut provider = ShardProvider::new(&self.store, &staged, &mut self.slots);
-        let outcome = if use_fup {
-            Fup::with_config(self.config.clone()).update_with_provider(
-                &self.store,
-                &self.state.large,
-                staged.inserted(),
-                self.minsup,
-                &mut provider,
-            )
-        } else {
-            Fup2::with_config(self.config.clone()).update_with_provider(
-                &self.store,
-                &self.state.large,
-                staged.deleted(),
-                staged.inserted(),
-                self.minsup,
-                &mut provider,
-            )
-        };
+        let outcome = Fup2::with_config(self.config.clone()).update_with_provider(
+            &self.store,
+            &self.state.large,
+            staged.deleted(),
+            staged.inserted(),
+            self.minsup,
+            &mut provider,
+        );
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {
@@ -1231,8 +1181,12 @@ impl Maintainer {
                 return Err(e);
             }
         };
-        let algorithm = if use_fup { "fup" } else { "fup2" };
-        Ok(self.finish_commit(staged, outcome.large, algorithm, outcome.stats))
+        Ok(self.finish_commit(
+            staged,
+            outcome.large,
+            outcome.stats.algorithm,
+            outcome.stats,
+        ))
     }
 
     /// Two-phase-stages a batch drained from the staging area. The
@@ -1442,11 +1396,6 @@ impl Maintainer {
         &self.config
     }
 
-    /// The configured incremental updater.
-    pub fn updater(&self) -> Updater {
-        self.updater
-    }
-
     /// The active update policy.
     pub fn policy(&self) -> UpdatePolicy {
         self.policy
@@ -1569,7 +1518,6 @@ impl Maintainer {
                 chunk_size: None,
                 backend: None,
                 policy: self.policy,
-                updater: self.updater,
                 deletions: self.deletions,
                 durability: *log.policy(),
                 shards: self.store.spec().clone(),
@@ -1729,17 +1677,6 @@ mod tests {
                 .unwrap_err(),
             BuildError::RemineIgnoresMaxK
         );
-        assert_eq!(
-            base().updater(Updater::Fup).build(history()).unwrap_err(),
-            BuildError::DeletionsWithoutFup2
-        );
-        // The same pin is fine once the workload is declared insert-only.
-        let m = base()
-            .updater(Updater::Fup)
-            .deletions(false)
-            .build(history())
-            .unwrap();
-        assert_eq!(m.updater(), Updater::Fup);
     }
 
     #[test]
@@ -1971,21 +1908,6 @@ mod tests {
             capped.set_policy(UpdatePolicy::AlwaysRemine).unwrap_err(),
             BuildError::RemineIgnoresMaxK
         );
-    }
-
-    #[test]
-    fn pinned_fup2_handles_insert_only_batches() {
-        let mut m = Maintainer::builder()
-            .min_support(MinSupport::percent(40))
-            .min_confidence(MinConfidence::percent(60))
-            .updater(Updater::Fup2)
-            .build(history())
-            .unwrap();
-        let r = m
-            .apply(UpdateBatch::insert_only(vec![tx(&[1, 2])]))
-            .unwrap();
-        assert_eq!(r.algorithm, "fup2");
-        m.verify_consistency().unwrap();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A [`ShardedDb`](fup_tidb::ShardedDb) partitions the live set into
 //! disjoint tid ranges, and a support count is a sum over transactions —
 //! so every `(support in base, support in delta)` split the FUP/FUP2
-//! round loops ask for is the element-wise **sum of per-shard splits**:
+//! round loop asks for is the element-wise **sum of per-shard splits**:
 //!
 //! ```text
 //! sup_base(X)  = Σᵢ sup_{baseᵢ}(X)      (shard i's base rows)
@@ -17,7 +17,7 @@
 //! shard's persistent [`IndexSlot`] against the shard's base (`DBᵢ` for
 //! FUP, `DB⁻ᵢ` for FUP2 — after staging, the shard *is* its remainder)
 //! extended with the shard's routed insert slice; `count_split` sums the
-//! per-shard splits. The round loops gate every threshold decision on the
+//! per-shard splits. The round loop gates every threshold decision on the
 //! summed supports, so the result is bit-identical at any shard count. A
 //! session that never asks for shards has exactly one, the whole store,
 //! and the provider hands that part's splits through unchanged.

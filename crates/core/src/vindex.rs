@@ -194,20 +194,20 @@ impl IndexSlot {
     }
 }
 
-/// The vertical-counting seam of the FUP/FUP2 round loops: where the
+/// The vertical-counting seam of the FUP/FUP2 round loop: where the
 /// per-pass `(support in base, support in delta)` splits come from once
-/// the vertical backend engages. Every in-process session hands the loops
+/// the vertical backend engages. Every in-process session hands the loop
 /// a [`ShardProvider`](crate::shard::ShardProvider): one [`SlotProvider`]
 /// per tid-range shard, local splits merged by summation (count
 /// distribution); a default session has one shard, the whole store. The
-/// standalone [`Fup::update`](crate::Fup::update) and
-/// [`Fup2::update`](crate::Fup2::update) hand them a lone, throwaway
-/// [`SlotProvider`]. The loops cannot tell the difference: supports are
-/// additive over disjoint tid ranges, so the summed splits equal the
-/// whole-store splits exactly.
+/// standalone [`Fup2::update`](crate::Fup2::update) — and
+/// [`Fup::update`](crate::Fup::update), which is it with an empty delete
+/// side — hands it a lone, throwaway [`SlotProvider`]. The loop cannot
+/// tell the difference: supports are additive over disjoint tid ranges,
+/// so the summed splits equal the whole-store splits exactly.
 pub(crate) trait VerticalProvider {
     /// `true` once [`engage`](VerticalProvider::engage) has run — the
-    /// round loops use this for the sticky once-vertical-always-vertical
+    /// round loop uses this for the sticky once-vertical-always-vertical
     /// decision.
     fn engaged(&self) -> bool;
 
@@ -225,7 +225,8 @@ pub(crate) trait VerticalProvider {
     fn count_split(&self, table: &ItemsetTable, engine: &EngineConfig) -> Vec<(u64, u64)>;
 
     /// Pass-1 offload: supports of `items` in the round's **base** rows
-    /// only (FUP's `C₁`-over-`DB` scan). `None` — the default, and what
+    /// only (FUP's `C₁`-over-`DB` scan, pass 1 of a round without
+    /// deletions). `None` — the default, and what
     /// every in-process provider returns — tells the round loop to scan
     /// its base source directly, exactly as it always has; a remote
     /// provider whose base rows live in other processes answers
@@ -243,7 +244,8 @@ pub(crate) trait VerticalProvider {
     }
 
     /// Pass-1 offload, dense flavour: the full item histogram of the
-    /// round's base rows (FUP2's all-items pass over `DB⁻`). Same
+    /// round's base rows (FUP2's all-items pass over `DB⁻`, pass 1 of a
+    /// round with deletions). Same
     /// contract as [`count_base_items`](VerticalProvider::count_base_items):
     /// `None` means "scan it yourself"; `Some(counts)` has `counts[i]`
     /// counting `ItemId(i)` and may be shorter than the dictionary
@@ -262,8 +264,8 @@ pub(crate) trait VerticalProvider {
 /// source, one delta source, one boundary. Engaging acquires from the
 /// slot; finishing stashes back. A shard's part of a
 /// [`ShardProvider`](crate::shard::ShardProvider), and the whole of the
-/// standalone [`Fup::update`](crate::Fup::update) /
-/// [`Fup2::update`](crate::Fup2::update) round.
+/// standalone [`Fup2::update`](crate::Fup2::update) round (and so of
+/// [`Fup::update`](crate::Fup::update)).
 pub(crate) struct SlotProvider<'a> {
     slot: &'a mut IndexSlot,
     base: &'a dyn TransactionSource,

@@ -4,13 +4,35 @@
 //!
 //! * `FUP(DB, L, db)` equals Apriori and DHP re-run on `DB ∪ db`,
 //! * `FUP2(DB⁻, L, db⁻, db⁺)` equals a re-mine of `(DB − db⁻) ∪ db⁺`,
+//! * FUP is FUP2 with an empty delete side, pass for pass,
 //! * every optimisation configuration produces identical results.
+//!
+//! Both updaters run one round loop, and the miners used as references
+//! share its itemset tables, candidate generation and counting engine,
+//! so every result is also checked against a brute-force oracle that
+//! shares none of that code (`support/oracle.rs`).
+
+// The session-level wrapper of the oracle is unused here.
+#[allow(dead_code)]
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use fup_core::{Fup, Fup2, FupConfig};
 use fup_mining::{Apriori, CountingBackend, Dhp, MinSupport};
 use fup_tidb::source::ChainSource;
-use fup_tidb::{SegmentedDb, Transaction, TransactionDb, UpdateBatch};
+use fup_tidb::{SegmentedDb, Transaction, TransactionDb, TransactionSource, UpdateBatch};
+use oracle::assert_large_matches_oracle;
 use proptest::prelude::*;
+
+/// The raw item ids of every row of `sources`, in order — the oracle's
+/// input.
+fn rows(sources: &[&dyn TransactionSource]) -> Vec<Vec<u32>> {
+    let mut out = Vec::new();
+    for src in sources {
+        src.for_each(&mut |t| out.push(t.iter().map(|i| i.raw()).collect()));
+    }
+    out
+}
 
 /// A random transaction over a small item alphabet (1–6 items of 0..12).
 fn arb_transaction() -> impl Strategy<Value = Transaction> {
@@ -72,6 +94,34 @@ proptest! {
             "FUP vs DHP: {:?}",
             out.large.diff(&dhp)
         );
+        assert_large_matches_oracle(&out.large, &rows(&[&db, &inc]), minsup, "FUP");
+    }
+
+    #[test]
+    fn fup_is_fup2_with_empty_delete_side(
+        original in arb_db(40),
+        increment in arb_db(20),
+        minsup in arb_minsup(),
+        reduce_db in any::<bool>(),
+        dhp_hash in any::<bool>(),
+        backend in arb_backend(),
+    ) {
+        let db = TransactionDb::from_transactions(original);
+        let inc = TransactionDb::from_transactions(increment);
+        let mut config = FupConfig { reduce_db, dhp_hash, ..FupConfig::default() };
+        config.engine.backend = backend;
+
+        let baseline = Apriori::new().run(&db, minsup).large;
+        let fup = Fup::with_config(config.clone())
+            .update(&db, &baseline, &inc, minsup)
+            .unwrap();
+        let fup2 = Fup2::with_config(config)
+            .update(&db, &baseline, &TransactionDb::new(), &inc, minsup)
+            .unwrap();
+        prop_assert_eq!(&fup.large, &fup2.large);
+        prop_assert_eq!(&fup.stats.passes, &fup2.stats.passes);
+        prop_assert_eq!(&fup.detail, &fup2.detail);
+        prop_assert_eq!(fup.stats.algorithm, fup2.stats.algorithm);
     }
 
     #[test]
@@ -111,6 +161,8 @@ proptest! {
             "FUP2 vs re-mine: {:?}",
             out.large.diff(&remined)
         );
+        let live = rows(&[&store, staged.inserted()]);
+        assert_large_matches_oracle(&out.large, &live, minsup, "FUP2");
     }
 
     #[test]
@@ -144,6 +196,8 @@ proptest! {
             "chained FUP diverged: {:?}",
             l2.diff(&fresh)
         );
+        assert_large_matches_oracle(&l1, &rows(&[&merged]), minsup, "chained round 1");
+        assert_large_matches_oracle(&l2, &rows(&[&whole]), minsup, "chained round 2");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Equivalence and effectiveness on the paper's own workload family:
 //! scaled-down `T10.I4` databases from the Quest generator.
 
-use fup_core::{Fup, FupConfig};
+use fup_core::{Fup, FupConfig, FupPassDetail};
 use fup_datagen::corpus;
 use fup_datagen::generate_split;
-use fup_mining::{Apriori, Dhp, MinSupport};
+use fup_mining::{Apriori, CountingBackend, Dhp, MinSupport, PassStats};
 use fup_tidb::source::ChainSource;
 
 /// One scaled workload: T10.I4 with D = 2000, d = 200.
@@ -86,5 +86,57 @@ fn optimisation_configs_agree_on_quest_data() {
     let full2 = full.detail.iter().find(|d| d.k == 2);
     if let Some(d2) = full2 {
         assert!(d2.candidates_after_hash <= d2.candidates_generated);
+    }
+}
+
+/// FUP's per-pass numbers on one fixed Quest corpus, recorded as
+/// literals: the Figure 3 quantity (`candidates_checked`) and every
+/// pruning step that feeds it. Both counting backends must reproduce
+/// them exactly.
+#[test]
+fn fup_pass_numbers_are_pinned_on_quest_data() {
+    let data = workload(0x1357);
+    let minsup = MinSupport::percent(1);
+    let baseline = Apriori::new().run(&data.db, minsup).large;
+    let pass = |k, candidates_generated, candidates_checked, large_found| PassStats {
+        k,
+        candidates_generated,
+        candidates_checked,
+        large_found,
+    };
+    let expected_passes = vec![
+        pass(1, 277, 152, 417),
+        pass(2, 86_699, 505, 31),
+        pass(3, 9, 8, 1),
+        pass(4, 0, 0, 0),
+    ];
+    let detail =
+        |k, old_large, winners_from_old, generated, after_hash, checked, winners_from_new| {
+            FupPassDetail {
+                k,
+                old_large,
+                lemma3_losers: 0,
+                winners_from_old,
+                candidates_generated: generated,
+                candidates_after_hash: after_hash,
+                candidates_checked: checked,
+                winners_from_new,
+            }
+        };
+    let expected_detail = vec![
+        detail(1, 417, 403, 277, 277, 152, 14),
+        detail(2, 37, 23, 86_699, 12_437, 505, 8),
+        detail(3, 0, 0, 9, 9, 8, 1),
+        detail(4, 0, 0, 0, 0, 0, 0),
+    ];
+    for backend in [CountingBackend::HashTree, CountingBackend::Vertical] {
+        let mut config = FupConfig::full();
+        config.engine.backend = backend;
+        let out = Fup::with_config(config)
+            .update(&data.db, &baseline, &data.increment, minsup)
+            .unwrap();
+        assert_eq!(out.stats.algorithm, "fup", "{backend:?}");
+        assert_eq!(out.stats.passes, expected_passes, "{backend:?}");
+        assert_eq!(out.detail, expected_detail, "{backend:?}");
     }
 }

@@ -9,6 +9,7 @@
 //! fine for the suites' transactions of at most five items.
 
 use fup_core::Maintainer;
+use fup_mining::{LargeItemsets, MinSupport};
 use std::collections::HashMap;
 
 /// Every itemset (sorted raw item ids) whose count `c` over
@@ -41,14 +42,24 @@ pub fn assert_matches_oracle(m: &Maintainer, label: &str) {
         .iter()
         .map(|(_, t)| t.items().iter().map(|i| i.raw()).collect())
         .collect();
-    let expected = brute_force_large(&live, m.minsup().num(), m.minsup().den());
-    let actual: HashMap<Vec<u32>, u64> = m
-        .large_itemsets()
+    assert_large_matches_oracle(m.large_itemsets(), &live, m.minsup(), label);
+}
+
+/// Asserts that `large` — itemsets and supports — equals the oracle's
+/// over `transactions` at `minsup`.
+pub fn assert_large_matches_oracle(
+    large: &LargeItemsets,
+    transactions: &[Vec<u32>],
+    minsup: MinSupport,
+    label: &str,
+) {
+    let expected = brute_force_large(transactions, minsup.num(), minsup.den());
+    let actual: HashMap<Vec<u32>, u64> = large
         .iter()
         .map(|(x, c)| (x.items().iter().map(|i| i.raw()).collect(), c))
         .collect();
     assert_eq!(
         actual, expected,
-        "{label}: session disagrees with the brute-force oracle"
+        "{label}: result disagrees with the brute-force oracle"
     );
 }

@@ -15,23 +15,13 @@
 //!    `(DB \ db⁻) ∪ db⁺`), or [`SegmentedDb::abort`] restores the deleted
 //!    transactions.
 //!
-//! On top of the two-phase protocol sits a **staging area**
-//! ([`SegmentedDb::enqueue`] / [`pending`](SegmentedDb::pending) /
-//! [`take_pending`](SegmentedDb::take_pending) /
-//! [`discard_pending`](SegmentedDb::discard_pending)): update batches can
-//! accumulate — validated eagerly, so a bad tid fails at arrival time —
-//! without touching the live set at all. Scans are completely unaffected
-//! by pending batches, which is what lets a maintenance session keep
-//! serving reads while updates stream in; application happens later, in
-//! one `stage`+`commit` round over the accumulated batch.
-//!
-//! The staging area is a sharded, `Arc`-shared
-//! [`StagingArea`]: [`SegmentedDb::enqueue`]
-//! takes `&self`, and [`SegmentedDb::staging`] hands out clones of the
-//! handle so **many producer threads can stage batches concurrently**
-//! with each other and with scans — the substrate under
-//! `fup_core::service`'s concurrent ingestion. Batches drain back out in
-//! global arrival order regardless of how producers interleaved.
+//! A store also carries a [`StagingArea`] whose live-tid view is the
+//! delete-validation and durable-format view of its tids
+//! ([`SegmentedDb::live_view`]). Accumulating batches *in front of* a
+//! store — eagerly validated, invisible to scans until one
+//! `stage`+`commit` round applies them — is the job of
+//! [`ShardedDb`](crate::ShardedDb), the store every maintenance session
+//! runs on (a flat store is its one-shard case).
 
 use crate::database::TransactionDb;
 use crate::error::{Error, Result};
@@ -153,9 +143,8 @@ pub struct SegmentedDb {
     /// Shared with the other shards of a [`ShardedDb`](crate::ShardedDb),
     /// so a scan of one shard is charged to the whole store.
     metrics: Arc<ScanMetrics>,
-    /// Accumulated-but-unapplied batches (see [`SegmentedDb::enqueue`]),
-    /// shared so producer threads can stage through [`Self::staging`]
-    /// handles while this store is borrowed elsewhere.
+    /// The live-tid view (watermark + tombstones), shared so a handle
+    /// from [`Self::staging`] outlives a borrow of this store.
     staging: Arc<StagingArea>,
     /// `true` while the live vector is still in ascending tid order —
     /// i.e. scan order equals tid order. Deletions `swap_remove` and
@@ -193,35 +182,6 @@ impl SegmentedDb {
             metrics,
             ..Self::default()
         }
-    }
-
-    /// Restores a store from a durable checkpoint image: `live` pairs in
-    /// ascending tid order, the tid `watermark` (next tid to allocate),
-    /// the tombstoned tids below it, and the next segment id. The staging
-    /// area starts empty with its live view set to match.
-    pub fn from_recovered(
-        live: Vec<(Tid, Transaction)>,
-        watermark: u64,
-        tombstones: Vec<Tid>,
-        next_segment: u32,
-    ) -> Self {
-        let by_tid = live
-            .iter()
-            .enumerate()
-            .map(|(i, &(tid, _))| (tid, i))
-            .collect();
-        let db = SegmentedDb {
-            live,
-            by_tid,
-            next_tid: watermark,
-            next_segment,
-            metrics: Arc::default(),
-            staging: Arc::default(),
-            tid_ordered: true,
-        };
-        db.staging
-            .live_reset(LiveTidView::from_parts(watermark, tombstones));
-        db
     }
 
     /// Builds a store from initial transactions, assigning fresh tids.
@@ -312,65 +272,10 @@ impl SegmentedDb {
         self.live.iter().map(|(tid, t)| (*tid, t))
     }
 
-    /// Queues a batch into the staging area **without touching the live
-    /// set**: scans keep seeing exactly the current transactions, and the
-    /// batch waits until [`take_pending`](Self::take_pending) hands the
-    /// accumulated work to a `stage`+`commit` round.
-    ///
-    /// Deletes are validated at arrival: every tid must be live and not
-    /// already claimed by an earlier pending delete (including earlier in
-    /// the same batch). On [`Error::UnknownTransaction`] nothing is
-    /// queued.
-    ///
-    /// Takes `&self` — the staging area is sharded and internally
-    /// synchronised, so any number of threads may enqueue concurrently
-    /// (see [`Self::staging`] for a handle that outlives this borrow).
-    pub fn enqueue(&self, batch: UpdateBatch) -> Result<()> {
-        self.staging.stage(batch)?;
-        Ok(())
-    }
-
-    /// A shareable handle to the staging area: producer threads stage
-    /// through it while the store itself is borrowed (even mutably, by a
-    /// commit round) elsewhere. Batches staged through the handle are
-    /// indistinguishable from [`enqueue`](Self::enqueue)d ones.
+    /// A shareable handle to the staging area, usable while the store
+    /// itself is borrowed (even mutably, by a commit round) elsewhere.
     pub fn staging(&self) -> Arc<StagingArea> {
         Arc::clone(&self.staging)
-    }
-
-    /// A copy of the accumulated staging area, in global arrival order
-    /// (an empty batch when nothing is pending).
-    pub fn pending(&self) -> UpdateBatch {
-        self.staging.snapshot()
-    }
-
-    /// `true` if at least one insert or delete is queued.
-    pub fn has_pending(&self) -> bool {
-        self.staging.has_pending()
-    }
-
-    /// Drains the staging area, returning the accumulated batch (batches
-    /// concatenate in global arrival order) for a `stage`+`commit` round.
-    /// Delete claims are held until that round commits or aborts.
-    pub fn take_pending(&mut self) -> UpdateBatch {
-        self.staging.drain()
-    }
-
-    /// Drains the staging area keeping per-batch `(ticket, batch)`
-    /// boundaries — the durable commit path records exactly which tickets
-    /// a round consumed. Claims are held as with
-    /// [`take_pending`](Self::take_pending).
-    pub fn take_pending_entries(&mut self) -> Vec<(u64, UpdateBatch)> {
-        self.staging.drain_entries()
-    }
-
-    /// [`take_pending_entries`](Self::take_pending_entries) bounded to at
-    /// most `max_ops` operations: drains the longest arrival-order prefix
-    /// of whole batches within the bound (an oversized first batch
-    /// travels alone — see
-    /// [`StagingArea::drain_entries_up_to`]). `None` drains everything.
-    pub fn take_pending_entries_up_to(&mut self, max_ops: Option<u64>) -> Vec<(u64, UpdateBatch)> {
-        self.staging.drain_entries_up_to(max_ops)
     }
 
     /// One past the highest tid ever allocated (the durable watermark).
@@ -395,13 +300,6 @@ impl SegmentedDb {
     /// serialised against the tid-ordered checkpoint image.
     pub fn is_tid_ordered(&self) -> bool {
         self.tid_ordered
-    }
-
-    /// Drops everything queued in the staging area, returning the
-    /// discarded batch. The live set was never touched, and the discarded
-    /// deletes' tids may be staged again.
-    pub fn discard_pending(&mut self) -> UpdateBatch {
-        self.staging.discard()
     }
 
     /// Stages an update: removes `batch.deletes` from the live set and
@@ -634,79 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_accumulates_without_touching_live() {
-        let mut db = SegmentedDb::new();
-        let tids = db.append_all(vec![tx(&[1]), tx(&[2]), tx(&[3])]);
-        assert!(!db.has_pending());
-        db.enqueue(UpdateBatch::insert_only(vec![tx(&[4])]))
-            .unwrap();
-        db.enqueue(UpdateBatch {
-            inserts: vec![tx(&[5])],
-            deletes: vec![tids[0]],
-        })
-        .unwrap();
-        // Live set untouched: scans still see all three originals.
-        assert_eq!(db.len(), 3);
-        assert!(db.contains(tids[0]));
-        assert!(db.has_pending());
-        assert_eq!(db.pending().inserts.len(), 2);
-        assert_eq!(db.pending().deletes, vec![tids[0]]);
-        // Draining hands back the batches concatenated in arrival order.
-        let batch = db.take_pending();
-        assert_eq!(batch.inserts.len(), 2);
-        assert_eq!(batch.inserts[0].items(), &[ItemId(4)]);
-        assert!(!db.has_pending());
-        // The drained batch stages and commits like any other.
-        let staged = db.stage(batch).unwrap();
-        db.commit(staged);
-        assert_eq!(db.len(), 4);
-    }
-
-    #[test]
-    fn enqueue_validates_deletes_at_arrival() {
-        let mut db = SegmentedDb::new();
-        let tids = db.append_all(vec![tx(&[1]), tx(&[2])]);
-        // Unknown tid fails and queues nothing.
-        let err = db
-            .enqueue(UpdateBatch {
-                inserts: vec![tx(&[9])],
-                deletes: vec![Tid(999)],
-            })
-            .unwrap_err();
-        assert_eq!(err, Error::UnknownTransaction(Tid(999)));
-        assert!(!db.has_pending());
-        // A delete already pending cannot be queued again...
-        db.enqueue(UpdateBatch::delete_only(vec![tids[0]])).unwrap();
-        let err = db
-            .enqueue(UpdateBatch::delete_only(vec![tids[0]]))
-            .unwrap_err();
-        assert_eq!(err, Error::UnknownTransaction(tids[0]));
-        // ...nor duplicated within one batch.
-        let err = db
-            .enqueue(UpdateBatch::delete_only(vec![tids[1], tids[1]]))
-            .unwrap_err();
-        assert_eq!(err, Error::UnknownTransaction(tids[1]));
-        assert_eq!(db.pending().deletes, vec![tids[0]]);
-    }
-
-    #[test]
-    fn discard_pending_drops_the_queue() {
-        let mut db = SegmentedDb::new();
-        let tids = db.append_all(vec![tx(&[1])]);
-        db.enqueue(UpdateBatch {
-            inserts: vec![tx(&[2])],
-            deletes: vec![tids[0]],
-        })
-        .unwrap();
-        let dropped = db.discard_pending();
-        assert_eq!(dropped.inserts.len(), 1);
-        assert!(!db.has_pending());
-        assert_eq!(db.len(), 1);
-        // The discarded delete's tid is free to be queued again.
-        db.enqueue(UpdateBatch::delete_only(vec![tids[0]])).unwrap();
-    }
-
-    #[test]
     fn tid_order_flag_tracks_reordering_mutations() {
         let mut db = SegmentedDb::new();
         let tids = db.append_all(vec![tx(&[1]), tx(&[2]), tx(&[3])]);
@@ -726,46 +551,6 @@ mod tests {
         let staged = db.stage(UpdateBatch::delete_only(vec![tids[0]])).unwrap();
         db.abort(staged);
         assert!(!db.is_tid_ordered());
-    }
-
-    #[test]
-    fn from_recovered_restores_live_set_and_watermark() {
-        // Original store: tids 0..4 with 1 and 3 deleted.
-        let mut db = SegmentedDb::new();
-        let tids = db.append_all(vec![tx(&[1]), tx(&[2]), tx(&[3]), tx(&[4])]);
-        let staged = db
-            .stage(UpdateBatch::delete_only(vec![tids[1], tids[3]]))
-            .unwrap();
-        db.commit(staged);
-
-        let view = db.live_view();
-        assert_eq!(view.watermark(), 4);
-        assert_eq!(view.tombstones_sorted(), vec![tids[1], tids[3]]);
-
-        // Rebuild from the checkpoint image: live pairs in tid order.
-        let mut pairs: Vec<(Tid, Transaction)> =
-            db.iter().map(|(tid, t)| (tid, t.clone())).collect();
-        pairs.sort_unstable_by_key(|&(tid, _)| tid);
-        let restored = SegmentedDb::from_recovered(
-            pairs,
-            view.watermark(),
-            view.tombstones_sorted(),
-            db.next_segment(),
-        );
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.watermark(), 4);
-        assert!(restored.is_tid_ordered());
-        assert_eq!(restored.get(tids[0]).unwrap().items(), &[ItemId(1)]);
-        assert!(!restored.contains(tids[1]));
-        assert_eq!(restored.live_view(), view);
-        // The watermark survives: new appends get fresh tids, and a
-        // tombstoned tid cannot be deleted again.
-        let mut restored = restored;
-        let new = restored.append_all(vec![tx(&[9])]);
-        assert_eq!(new, vec![Tid(4)]);
-        assert!(restored
-            .enqueue(UpdateBatch::delete_only(vec![tids[1]]))
-            .is_err());
     }
 
     #[test]

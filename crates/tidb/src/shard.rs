@@ -564,8 +564,19 @@ impl ShardedDb {
         self.shards.iter().flat_map(|s| s.iter())
     }
 
-    /// Queues a batch into the (global) staging area without touching any
-    /// live set — see [`SegmentedDb::enqueue`].
+    /// Queues a batch into the (global) staging area **without touching
+    /// any live set**: scans keep seeing exactly the current
+    /// transactions, and the batch waits until a drain hands the
+    /// accumulated work to a `stage`+`commit` round.
+    ///
+    /// Deletes are validated at arrival: every tid must be live and not
+    /// already claimed by an earlier pending delete (including earlier in
+    /// the same batch). On [`Error::UnknownTransaction`] nothing is
+    /// queued.
+    ///
+    /// Takes `&self` — the staging area is sharded and internally
+    /// synchronised, so any number of threads may enqueue concurrently
+    /// (see [`Self::staging`] for a handle that outlives this borrow).
     pub fn enqueue(&self, batch: UpdateBatch) -> Result<()> {
         self.staging.stage(batch)?;
         Ok(())
@@ -586,7 +597,9 @@ impl ShardedDb {
         self.staging.has_pending()
     }
 
-    /// Drains the staging area — see [`SegmentedDb::take_pending`].
+    /// Drains the staging area, returning the accumulated batch (batches
+    /// concatenate in global arrival order) for a `stage`+`commit` round.
+    /// Delete claims are held until that round commits or aborts.
     pub fn take_pending(&mut self) -> UpdateBatch {
         self.staging.drain()
     }
@@ -596,12 +609,18 @@ impl ShardedDb {
         self.staging.drain_entries()
     }
 
-    /// Bounded drain — see [`SegmentedDb::take_pending_entries_up_to`].
+    /// [`take_pending_entries`](Self::take_pending_entries) bounded to at
+    /// most `max_ops` operations: drains the longest arrival-order prefix
+    /// of whole batches within the bound (an oversized first batch
+    /// travels alone — see [`StagingArea::drain_entries_up_to`]). `None`
+    /// drains everything.
     pub fn take_pending_entries_up_to(&mut self, max_ops: Option<u64>) -> Vec<(u64, UpdateBatch)> {
         self.staging.drain_entries_up_to(max_ops)
     }
 
-    /// Drops everything queued, returning the discarded batch.
+    /// Drops everything queued, returning the discarded batch. The live
+    /// set was never touched, and the discarded deletes' tids may be
+    /// staged again.
     pub fn discard_pending(&mut self) -> UpdateBatch {
         self.staging.discard()
     }
@@ -1030,6 +1049,87 @@ mod tests {
         for (tid, t) in db.iter() {
             assert_eq!(recovered.get(tid), Some(t));
         }
+    }
+
+    #[test]
+    fn from_recovered_restores_live_set_and_watermark() {
+        // Original store: tids 0..4 with 1 and 3 deleted.
+        let mut db = ShardedDb::from_transactions(ShardSpec::striped(2), txs(4)).unwrap();
+        let staged = db
+            .stage(UpdateBatch::delete_only(vec![Tid(1), Tid(3)]))
+            .unwrap();
+        db.commit(staged);
+
+        let view = db.live_view();
+        assert_eq!(view.watermark(), 4);
+        assert_eq!(view.tombstones_sorted(), vec![Tid(1), Tid(3)]);
+
+        // Rebuild from the checkpoint image: live pairs in tid order.
+        let mut pairs: Vec<(Tid, Transaction)> =
+            db.iter().map(|(tid, t)| (tid, t.clone())).collect();
+        pairs.sort_unstable_by_key(|&(tid, _)| tid);
+        let restored = ShardedDb::from_recovered(
+            ShardSpec::striped(2),
+            pairs,
+            view.watermark(),
+            view.tombstones_sorted(),
+            db.next_segment(),
+        )
+        .unwrap();
+        assert_eq!(restored.len(), 2);
+        assert_eq!(restored.watermark(), 4);
+        assert!(restored.is_tid_ordered());
+        assert_eq!(restored.get(Tid(0)), db.get(Tid(0)));
+        assert!(!restored.contains(Tid(1)));
+        assert_eq!(restored.live_view(), view);
+        // The watermark survives: new appends get fresh tids, and a
+        // tombstoned tid cannot be deleted again.
+        let mut restored = restored;
+        assert_eq!(restored.append_all(txs(1)), vec![Tid(4)]);
+        assert!(restored
+            .enqueue(UpdateBatch::delete_only(vec![Tid(1)]))
+            .is_err());
+    }
+
+    #[test]
+    fn enqueue_accumulates_without_touching_live() {
+        let mut db = ShardedDb::from_transactions(ShardSpec::striped(2), txs(3)).unwrap();
+        assert!(!db.has_pending());
+        db.enqueue(UpdateBatch::insert_only(txs(1))).unwrap();
+        db.enqueue(UpdateBatch {
+            inserts: txs(1),
+            deletes: vec![Tid(0)],
+        })
+        .unwrap();
+        // Live set untouched: scans still see all three originals.
+        assert_eq!(db.len(), 3);
+        assert!(db.contains(Tid(0)));
+        assert_eq!(db.pending().inserts.len(), 2);
+        assert_eq!(db.pending().deletes, vec![Tid(0)]);
+        // Draining hands back the batches concatenated in arrival order,
+        // and the drained batch stages and commits like any other.
+        let batch = db.take_pending();
+        assert_eq!(batch.inserts.len(), 2);
+        assert!(!db.has_pending());
+        let staged = db.stage(batch).unwrap();
+        db.commit(staged);
+        assert_eq!(db.len(), 4);
+    }
+
+    #[test]
+    fn discard_pending_drops_the_queue() {
+        let mut db = ShardedDb::from_transactions(ShardSpec::striped(2), txs(1)).unwrap();
+        db.enqueue(UpdateBatch {
+            inserts: txs(1),
+            deletes: vec![Tid(0)],
+        })
+        .unwrap();
+        let dropped = db.discard_pending();
+        assert_eq!(dropped.inserts.len(), 1);
+        assert!(!db.has_pending());
+        assert_eq!(db.len(), 1);
+        // The discarded delete's tid is free to be queued again.
+        db.enqueue(UpdateBatch::delete_only(vec![Tid(0)])).unwrap();
     }
 
     #[test]
